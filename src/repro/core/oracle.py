@@ -6,11 +6,10 @@ algorithm is a (1 - 1/e)-approximation oracle.  The implementation follows the
 paper's refinement:
 
 1. arms with negative scores are pruned;
-2. selection and filtering steps alternate until the memory budget is
-   exhausted — after selecting the best remaining arm, arms that no longer fit
-   the remaining budget, arms whose key is a prefix of an already selected arm
-   (redundant seek capability), and — when a covering index was selected for a
-   query — all other arms generated for that query, are filtered out.
+2. the remaining arms are visited in score order and each is selected unless
+   it no longer fits the remaining budget, a selected arm on its table already
+   starts with its leading key column (redundant seek capability), or every
+   query that motivated it is already served by a selected covering index.
 
 Filtering is per-round only; pruned arms return in later rounds.
 """
@@ -63,9 +62,9 @@ def _pareto_survivors(candidates: list[ScoredArm]) -> set[int]:
     Arms are grouped by ``(table, leading column, source templates)``.  The
     oracle's pick from each group is always on the group's score-vs-size
     Pareto frontier: a same-group dominator (score strictly higher, size no
-    larger) is popped earlier in score order, is budget-feasible whenever the
-    dominated arm is (the remaining budget only shrinks), is hit by the
-    covering filter at exactly the same filter passes (same motivating
+    larger) takes its turn earlier in score order, is budget-feasible
+    whenever the dominated arm is (the remaining budget only shrinks), is hit
+    by the covering filter at exactly the same turns (same motivating
     templates) and is not prefix-filtered before the group's first selection
     — so the dominator would have been selected instead.  Keeping every
     group's frontier therefore makes a shard-local cut selection-preserving:
@@ -150,6 +149,13 @@ class GreedyOracle:
 
         ``None`` means no budget constraint (every positively scored arm that
         survives filtering is selected).
+
+        One pass over the score-sorted candidates tests each arm once, at its
+        turn, against the remaining budget, the ``(table, leading column)``
+        pairs already selected and the covered templates.  Every test only
+        tightens as arms are selected and a skipped arm changes no state, so
+        this picks exactly what re-filtering the survivors after each pick
+        would.
         """
         candidates = list(scored_arms)
         if self.prune_negative_scores:
@@ -158,71 +164,33 @@ class GreedyOracle:
 
         remaining_budget = memory_budget_bytes
         selected: list[ScoredArm] = []
+        selected_leads: set[tuple[str, str]] = set()
         covered_templates: set[str] = set()
 
-        while candidates:
-            chosen = candidates.pop(0)
-            if remaining_budget is not None and chosen.size_bytes > remaining_budget:
+        for scored in candidates:
+            if remaining_budget is not None and scored.size_bytes > remaining_budget:
                 # The greedy step only considers cost-feasible arms; skip and
                 # keep looking for a smaller one.
                 continue
-            selected.append(chosen)
+            index = scored.arm.index
+            lead = (index.table, index.leading_column())
+            if lead in selected_leads:
+                # Prefix diversity: a selected arm on the same table already
+                # starts with this key column and gives the same seek
+                # capability, so this one would mostly waste budget.
+                continue
+            motivating = scored.arm.source_templates
+            if motivating and motivating <= covered_templates:
+                # Every template that motivated this arm is already served by
+                # a selected covering index.
+                continue
+            selected.append(scored)
+            selected_leads.add(lead)
             if remaining_budget is not None:
-                remaining_budget -= chosen.size_bytes
-            if chosen.arm.covering_for_queries:
-                covered_templates |= chosen.arm.source_templates
-            candidates = self._filter(candidates, selected, covered_templates, remaining_budget)
+                remaining_budget -= scored.size_bytes
+            if scored.arm.covering_for_queries:
+                covered_templates |= motivating
 
         total_size = sum(scored.size_bytes for scored in selected)
         total_score = sum(scored.score for scored in selected)
         return OracleResult(selected=selected, total_size_bytes=total_size, total_score=total_score)
-
-    # ------------------------------------------------------------------ #
-    # filtering
-    # ------------------------------------------------------------------ #
-    def _filter(
-        self,
-        candidates: list[ScoredArm],
-        selected: list[ScoredArm],
-        covered_templates: set[str],
-        remaining_budget: int | None,
-    ) -> list[ScoredArm]:
-        surviving: list[ScoredArm] = []
-        for scored in candidates:
-            if remaining_budget is not None and scored.size_bytes > remaining_budget:
-                continue
-            if self._is_prefix_of_selected(scored, selected):
-                continue
-            if self._covered_by_covering_index(scored, covered_templates):
-                continue
-            surviving.append(scored)
-        return surviving
-
-    @staticmethod
-    def _is_prefix_of_selected(scored: ScoredArm, selected: list[ScoredArm]) -> bool:
-        """Prefix-matching diversity filter.
-
-        An arm is redundant for the current round when a selected arm on the
-        same table already starts with the same leading key column: the
-        selected index provides the same (or better) seek capability, so
-        materialising both would mostly waste the memory budget.  The filter
-        is per-round only; the arm competes again next round.
-        """
-        return any(
-            scored.arm.index.table == chosen.arm.index.table
-            and scored.arm.index.leading_column() == chosen.arm.index.leading_column()
-            for chosen in selected
-        )
-
-    @staticmethod
-    def _covered_by_covering_index(scored: ScoredArm, covered_templates: set[str]) -> bool:
-        """Once a covering index is selected for a query, its other arms are dropped.
-
-        An arm is filtered only when *every* template that motivated it is
-        already served by a selected covering index; arms that also serve
-        not-yet-covered templates stay in play.
-        """
-        if not covered_templates:
-            return False
-        motivating = scored.arm.source_templates
-        return bool(motivating) and motivating <= covered_templates

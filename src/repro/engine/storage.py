@@ -63,6 +63,14 @@ class TableData:
         high-cardinality column from a small sample is notoriously unreliable
         (a skewed sample wildly under-counts), so when a hint is available it
         takes precedence.
+
+    The sample distinct count of each non-hinted column is computed once and
+    memoised per instance.  The memo needs no invalidation: nothing writes
+    into a sample array, :meth:`~repro.engine.catalog.Database.grow_table`
+    builds a new :class:`TableData` (with a fresh memo), statistics refreshes
+    leave the samples alone, and tenant views share the instances (and so the
+    memo).  The "sample looks unique" test is applied at call time, so a
+    grown table answers with its new ``full_row_count``.
     """
 
     table: Table
@@ -89,6 +97,7 @@ class TableData:
         if self.full_row_count < self._sample_rows:
             # A sample can never be larger than the table it represents.
             self.full_row_count = self._sample_rows
+        self._sample_distinct: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -177,8 +186,10 @@ class TableData:
         hint = self.distinct_hints.get(column_name)
         if hint is not None:
             return max(1, min(int(hint), self.full_row_count))
-        values = self.column_array(column_name)
-        sample_distinct = int(len(np.unique(values)))
+        sample_distinct = self._sample_distinct.get(column_name)
+        if sample_distinct is None:
+            sample_distinct = int(len(np.unique(self.column_array(column_name))))
+            self._sample_distinct[column_name] = sample_distinct
         if sample_distinct >= 0.95 * self._sample_rows:
             return self.full_row_count
         return sample_distinct

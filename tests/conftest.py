@@ -166,6 +166,20 @@ def ssb_benchmark():
     return get_benchmark("ssb")
 
 
+@pytest.fixture()
+def unique_calls(monkeypatch) -> list[int]:
+    """Lengths of the arrays passed to ``np.unique`` while the test runs."""
+    calls: list[int] = []
+    real_unique = np.unique
+
+    def counting_unique(values, *args, **kwargs):
+        calls.append(len(values))
+        return real_unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)

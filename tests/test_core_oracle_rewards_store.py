@@ -1,8 +1,18 @@
 """Tests for the greedy oracle, reward shaping and the query store."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core import Arm, GreedyOracle, QueryStore, ScoredArm, compute_round_rewards, super_arm_reward
+from repro.core import (
+    Arm,
+    GreedyOracle,
+    OracleResult,
+    QueryStore,
+    ScoredArm,
+    compute_round_rewards,
+    super_arm_reward,
+)
 from repro.engine import ConfigurationChange, ExecutionResult, IndexDefinition, TableAccessResult
 from tests.conftest import make_sales_query
 
@@ -80,6 +90,91 @@ class TestGreedyOracle:
     def test_empty_input(self):
         result = GreedyOracle().select([], 100)
         assert result.selected == [] and result.total_size_bytes == 0
+
+
+def reference_select(
+    scored_arms: list[ScoredArm],
+    memory_budget_bytes: int | None,
+    prune_negative_scores: bool,
+) -> OracleResult:
+    """The pop-and-refilter greedy loop :meth:`GreedyOracle.select` replaced.
+
+    After every pick, the surviving candidates are filtered again against the
+    remaining budget, every selected arm's ``(table, leading column)`` and the
+    templates served by selected covering indexes.
+    """
+    candidates = list(scored_arms)
+    if prune_negative_scores:
+        candidates = [scored for scored in candidates if scored.score > 0]
+    candidates.sort(key=lambda scored: scored.score, reverse=True)
+    remaining_budget = memory_budget_bytes
+    selected: list[ScoredArm] = []
+    covered_templates: set[str] = set()
+    while candidates:
+        chosen = candidates.pop(0)
+        if remaining_budget is not None and chosen.size_bytes > remaining_budget:
+            continue
+        selected.append(chosen)
+        if remaining_budget is not None:
+            remaining_budget -= chosen.size_bytes
+        if chosen.arm.covering_for_queries:
+            covered_templates |= chosen.arm.source_templates
+        candidates = [
+            scored
+            for scored in candidates
+            if not (remaining_budget is not None and scored.size_bytes > remaining_budget)
+            and not any(
+                scored.arm.index.table == other.arm.index.table
+                and scored.arm.index.leading_column() == other.arm.index.leading_column()
+                for other in selected
+            )
+            and not (
+                covered_templates
+                and scored.arm.source_templates
+                and scored.arm.source_templates <= covered_templates
+            )
+        ]
+    return OracleResult(
+        selected=selected,
+        total_size_bytes=sum(scored.size_bytes for scored in selected),
+        total_score=sum(scored.score for scored in selected),
+    )
+
+
+@st.composite
+def scored_arm_lists(draw) -> list[ScoredArm]:
+    """Small arm pools dense in ties, shared leading columns and shared templates."""
+    arms = []
+    for position in range(draw(st.integers(0, 14))):
+        key = (draw(st.sampled_from(["x", "y", "z"])),) + tuple(
+            draw(st.lists(st.sampled_from(["u", "v", "w"]), max_size=2, unique=True))
+        )
+        arm = Arm(
+            index=IndexDefinition(draw(st.sampled_from(["a", "b"])), key),
+            source_templates=draw(st.sets(st.sampled_from(["t1", "t2", "t3"]), max_size=2)),
+        )
+        if draw(st.booleans()):
+            arm.covering_for_queries = {f"q#{position}"}
+        score = draw(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5]))
+        arms.append(
+            ScoredArm(arm=arm, score=score, size_bytes=draw(st.integers(1, 60)), position=position)
+        )
+    return arms
+
+
+@given(
+    arms=scored_arm_lists(),
+    budget=st.one_of(st.none(), st.integers(0, 200)),
+    prune=st.booleans(),
+)
+def test_single_pass_select_matches_pop_and_refilter_reference(arms, budget, prune):
+    expected = reference_select(arms, budget, prune)
+    result = GreedyOracle(prune_negative_scores=prune).select(arms, budget)
+    assert [id(scored) for scored in result.selected] == [
+        id(scored) for scored in expected.selected
+    ]
+    assert result.total_size_bytes == expected.total_size_bytes
+    assert result.total_score == expected.total_score
 
 
 def execution_result_with_access(index_id, gain, full_scan=10.0, query="q#1", template="q"):

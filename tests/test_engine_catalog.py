@@ -62,6 +62,33 @@ class TestRefreshStatistics:
         assert tiny_database.data_size_bytes > data_size_before
 
 
+class TestSampleDistinctMemo:
+    """``TableData``'s sample distinct memo across table growth and tenant views."""
+
+    def test_grown_unique_looking_column_reports_new_row_count(self, tiny_database):
+        # sale_id has no generator hint and a unique sample.
+        assert "sale_id" not in tiny_database.table_data("sales").distinct_hints
+        assert tiny_database.table_data("sales").distinct_count("sale_id") == 200_000
+        tiny_database.grow_table("sales", 3.0)
+        assert tiny_database.table_data("sales").distinct_count("sale_id") == 600_000
+        assert tiny_database.statistics.column("sales", "sale_id").distinct_count == 600_000
+
+    def test_tenant_views_share_the_memo_until_one_grows(self, tiny_database, unique_calls):
+        first, second = tiny_database.tenant_view(), tiny_database.tenant_view()
+        assert first.table_data("sales").distinct_count("sale_id") == 200_000
+        calls_after_first = len(unique_calls)
+        assert second.table_data("sales").distinct_count("sale_id") == 200_000
+        assert len(unique_calls) == calls_after_first
+
+        first.grow_table("sales", 2.0)
+        assert first.table_data("sales") is not second.table_data("sales")
+        assert first.table_data("sales").distinct_count("sale_id") == 400_000
+        calls_after_grow = len(unique_calls)
+        assert second.table_data("sales").distinct_count("sale_id") == 200_000
+        assert first.table_data("sales").distinct_count("sale_id") == 400_000
+        assert len(unique_calls) == calls_after_grow
+
+
 class TestIndexDDL:
     def test_create_and_drop_index(self, tiny_database):
         index = IndexDefinition("sales", ("day",), ("amount",))

@@ -1,5 +1,7 @@
 """Unit tests for materialised table storage and true-statistics measurement."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,7 @@ class TestTableData:
     def test_distinct_count_low_cardinality(self, small_table_data):
         assert small_table_data.distinct_count("b") == 10
 
-    def test_distinct_hint_takes_precedence(self):
+    def test_distinct_hint_takes_precedence(self, unique_calls):
         table = Table("t", [Column("a")])
         data = TableData(
             table=table,
@@ -100,7 +102,27 @@ class TestTableData:
             full_row_count=1_000_000,
             distinct_hints={"a": 777},
         )
-        assert data.distinct_count("a") == 777
+        assert [data.distinct_count("a") for _ in range(3)] == [777, 777, 777]
+        # A hinted column never measures its sample.
+        assert unique_calls == []
+
+    def test_distinct_count_memo_matches_fresh_unique(self, small_table_data):
+        for column_name, values in small_table_data.columns.items():
+            fresh = len(np.unique(values))
+            expected = 10_000 if fresh >= 0.95 * small_table_data.sample_rows else fresh
+            for _ in range(3):
+                assert small_table_data.distinct_count(column_name) == expected
+
+    def test_distinct_count_runs_unique_once_per_column(self, small_table_data, unique_calls):
+        for _ in range(4):
+            for column_name in ("a", "b", "c"):
+                small_table_data.distinct_count(column_name)
+        assert len(unique_calls) == 3
+
+    def test_distinct_count_survives_pickle_round_trip(self, small_table_data):
+        before = {name: small_table_data.distinct_count(name) for name in ("a", "b", "c")}
+        restored = pickle.loads(pickle.dumps(small_table_data))
+        assert {name: restored.distinct_count(name) for name in ("a", "b", "c")} == before
 
     def test_value_range(self, small_table_data):
         low, high = small_table_data.value_range("a")
