@@ -2,9 +2,9 @@
 
 The central guarantee under test is *parity*: a fleet of N tenants produces
 reports and converged configurations bit-identical to N standalone
-:class:`~repro.api.TuningSession` runs — for every registered tuner, whether
-scoring is batched or per-session, and whatever order observations are
-submitted in.  On top of that: spec interning (100 identical tenants share
+:class:`~repro.api.TuningSession` runs — for every registered tuner (MAB
+tenants through the fleet's batched scoring pass, the others per session),
+and whatever order observations are submitted in.  On top of that: spec interning (100 identical tenants share
 one statistics snapshot), the fleet error surface, and the bitwise
 equivalence contract of the vectorized scoring entry point.
 """
@@ -94,7 +94,7 @@ class TestSpecs:
         assert clone == spec
         with pytest.raises(AttributeError):
             spec.tenant_id = "t2"
-        config = FleetConfig(batch_scoring=False)
+        config = FleetConfig(intern_databases=False)
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_database_spec_is_hashable_even_with_placement_dict(self):
@@ -257,27 +257,33 @@ class TestFleetParity:
             )
         assert outcomes[0] == outcomes[1]
 
-    def test_batched_scoring_matches_per_session_scoring(self, ssb_rounds):
-        """The fleet-level equivalence: switching the vectorized pass off must
-        not change a single bit of any tenant's outcome."""
-        outcomes = []
-        for batch_scoring in (True, False):
-            fleet = TuningFleet(
-                (TenantSpec(f"t{i}", tiny_spec(), tuner="MAB") for i in range(2)),
-                FleetConfig(batch_scoring=batch_scoring),
+    def test_batched_scoring_matches_per_session_scoring(self, ssb_rounds, monkeypatch):
+        """The fleet-level equivalence: MAB tenants scored by the vectorized
+        pass end bit-identical to standalone sessions scoring on their own."""
+        import repro.fleet.fleet as fleet_module
+
+        batched_tenants = []
+        original = fleet_module.batch_upper_confidence_scores
+
+        def counting(scorers, blocks, alphas):
+            batched_tenants.append(len(scorers))
+            return original(scorers, blocks, alphas)
+
+        monkeypatch.setattr(fleet_module, "batch_upper_confidence_scores", counting)
+        fleet = TuningFleet(
+            TenantSpec(f"t{i}", tiny_spec(), tuner="MAB") for i in range(2)
+        )
+        for workload_round in ssb_rounds:
+            fleet.step({tid: workload_round.queries for tid in fleet.tenant_ids})
+        # Every round after the cold start scores both tenants in one pass.
+        assert batched_tenants == [2] * (len(ssb_rounds) - 1)
+        reference = standalone_reference("MAB", ssb_rounds)
+        for tid in fleet.tenant_ids:
+            session = fleet.session(tid)
+            assert deterministic_rows(session.report) == deterministic_rows(
+                reference.report
             )
-            for workload_round in ssb_rounds:
-                fleet.step({tid: workload_round.queries for tid in fleet.tenant_ids})
-            outcomes.append(
-                {
-                    tid: (
-                        deterministic_rows(fleet.session(tid).report),
-                        configuration_of(fleet.session(tid)),
-                    )
-                    for tid in fleet.tenant_ids
-                }
-            )
-        assert outcomes[0] == outcomes[1]
+            assert configuration_of(session) == configuration_of(reference)
 
     def test_mixed_tuner_fleet(self, ssb_rounds):
         fleet = TuningFleet(

@@ -157,7 +157,7 @@ def scored_arm_lists(draw) -> list[ScoredArm]:
             arm.covering_for_queries = {f"q#{position}"}
         score = draw(st.sampled_from([-1.5, -0.25, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5]))
         arms.append(
-            ScoredArm(arm=arm, score=score, size_bytes=draw(st.integers(1, 60)), position=position)
+            ScoredArm(arm=arm, score=score, size_bytes=draw(st.integers(1, 60)))
         )
     return arms
 

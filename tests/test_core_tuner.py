@@ -22,6 +22,15 @@ class TestMabConfig:
         ("qoi_window_rounds", 0),
         ("forgetting_factor", 2.0),
         ("shift_detection_threshold", -0.1),
+        ("regularisation", float("nan")),
+        ("regularisation", float("inf")),
+        ("alpha", float("nan")),
+        ("alpha", float("inf")),
+        ("alpha_floor", float("nan")),
+        ("alpha_floor", -0.1),
+        ("creation_cost_weight", float("nan")),
+        ("creation_cost_weight", float("-inf")),
+        ("max_arms_per_query_table", 0),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):

@@ -185,32 +185,13 @@ class TestRL002Picklability:
 
                     @dataclass
                     class FleetConfig:
-                        batch_scoring: bool = True
+                        intern_databases: bool = True
                     """
             },
         )
         assert rules_of(report) == ["RL002", "RL002"]
         symbols = {finding.symbol for finding in report.findings}
         assert symbols == {"TenantSpec", "FleetConfig"}
-
-    def test_scoring_config_covered(self, tmp_path):
-        # ScoringConfig rides inside MabConfig / SimulationOptions /
-        # FleetConfig across the same worker boundaries; frozen-ness is what
-        # keeps the packed-scoring snapshot picklable.
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/scoring.py": """
-                    from dataclasses import dataclass
-
-                    @dataclass
-                    class ScoringConfig:
-                        strategy: str = "monolithic"
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL002"]
-        assert report.findings[0].symbol == "ScoringConfig"
 
     def test_frozen_spec_with_factory_default_clean(self, tmp_path):
         report = lint(
@@ -340,7 +321,7 @@ class TestRL003RegistryDiscipline:
 
 
 # --------------------------------------------------------------------------- #
-# RL004 shard safety
+# RL004 read-only scoring
 # --------------------------------------------------------------------------- #
 SHARD_FIXTURE_BANDIT = """
     class Scorer:
@@ -369,26 +350,22 @@ class TestRL004ShardSafety:
             tmp_path,
             {
                 "src/core/bandit.py": SHARD_FIXTURE_BANDIT,
-                "src/core/tuner.py": """
+                "src/core/maintenance.py": """
                     from .bandit import Bandit
 
 
-                    def _refresh_helper(bandit: Bandit):
+                    def refresh_helper(bandit: Bandit):
                         bandit.refresh()
+                    """,
+                "src/core/linear_bandit.py": """
+                    from .bandit import Bandit
+                    from .maintenance import refresh_helper
 
 
-                    class MabTuner:
-                        def __init__(self):
-                            self.bandit = Bandit()
-
-                        def _score_sharded(self, shards):
-                            scorer = self.bandit.scorer()
-
-                            def score_shard(shard):
-                                _refresh_helper(self.bandit)
-                                return scorer.scores(shard)
-
-                            return [score_shard(shard) for shard in shards]
+                    def batch_upper_confidence_scores(bandit: Bandit, blocks):
+                        refresh_helper(bandit)
+                        scorer = bandit.scorer()
+                        return [scorer.scores(block) for block in blocks]
                     """,
             },
         )
@@ -396,31 +373,30 @@ class TestRL004ShardSafety:
         finding = report.findings[0]
         assert finding.path == "src/core/bandit.py"
         assert "_theta" in finding.message
-        assert "score_shard" in finding.message
+        assert "batch_upper_confidence_scores" in finding.message
 
     def test_snapshot_only_scoring_clean(self, tmp_path):
         report = lint(
             tmp_path,
             {
                 "src/core/bandit.py": SHARD_FIXTURE_BANDIT,
-                "src/core/tuner.py": """
+                "src/core/linear_bandit.py": """
                     from .bandit import Bandit
 
 
-                    class MabTuner:
+                    def ucb_scores(theta, contexts):
+                        return [theta * row for row in contexts]
+
+
+                    class C2UCB:
                         def __init__(self):
                             self.bandit = Bandit()
 
-                        def _score_sharded(self, shards):
-                            # Reading live state and refreshing OUTSIDE the
-                            # shard closure is legal: only score_shard fans out.
+                        def upper_confidence_scores(self, contexts):
+                            # Refreshing the lazy caches before scoring is
+                            # legal: only the kernel is an entry point.
                             self.bandit.refresh()
-                            scorer = self.bandit.scorer()
-
-                            def score_shard(shard):
-                                return scorer.scores(shard)
-
-                            return [score_shard(shard) for shard in shards]
+                            return ucb_scores(self.bandit.peek(), contexts)
                     """,
             },
         )
@@ -443,18 +419,6 @@ class TestRL005PublicSurface:
         )
         assert rules_of(report) == ["RL005"]
         assert "repro.core.tuner" in report.findings[0].message
-
-    def test_deprecated_import_flagged_in_src(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/repro/extra/glue.py": """
-                    from repro.harness.interface import run_simulation
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL005"]
-        assert "deprecated" in report.findings[0].message
 
     def test_dunder_all_audit(self, tmp_path):
         report = lint(
@@ -532,58 +496,6 @@ class TestRL005PublicSurface:
                     def __getattr__(name: str) -> object:
                         raise AttributeError(name)
                     """
-            },
-        )
-        assert report.findings == []
-
-    def test_deprecated_scoring_kwargs_flagged(self, tmp_path):
-        # The legacy shard_by / batch_scoring spellings on the config
-        # constructors normalise into ScoringConfig; new code must not use
-        # them outside the shim modules themselves.
-        report = lint(
-            tmp_path,
-            {
-                "src/repro/extra/wiring.py": """
-                    from repro.api import SimulationOptions
-                    from repro.core.config import MabConfig
-                    from repro.fleet import FleetConfig
-
-                    config = MabConfig(shard_by="table", shard_workers=2)
-                    options = SimulationOptions(shard_by="hash")
-                    fleet = FleetConfig(batch_scoring=False)
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL005"] * 4
-        messages = " ".join(finding.message for finding in report.findings)
-        assert "scoring=ScoringConfig(...)" in messages
-        assert "shard_by" in messages and "batch_scoring" in messages
-
-    def test_scoring_kwargs_allowed_in_shims_tests_and_other_callees(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                # The shim module itself may spell the legacy knobs.
-                "src/repro/core/config.py": """
-                    def _rebuild(cls):
-                        return cls(shard_by="table")
-
-
-                    class MabConfig:
-                        pass
-                    """,
-                # Tests exercise the deprecation path on purpose.
-                "tests/test_legacy.py": """
-                    from repro.core.config import MabConfig
-
-                    config = MabConfig(shard_by="table")
-                    """,
-                # Same-named parameters on other callables are the live API.
-                "src/repro/extra/partition.py": """
-                    from repro.core.sharding import shard_arms
-
-                    shards = shard_arms([], shard_by="table")
-                    """,
             },
         )
         assert report.findings == []
@@ -797,171 +709,6 @@ class TestRepoIsClean:
 
 
 # --------------------------------------------------------------------------- #
-# RL006 shared-memory lifecycle
-# --------------------------------------------------------------------------- #
-class TestRL006ShmLifecycle:
-    def test_create_without_unlink_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import itertools
-                    import os
-                    from multiprocessing import shared_memory
-
-                    _COUNTER = itertools.count()
-
-                    def publish() -> None:
-                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
-                        seg = shared_memory.SharedMemory(name=name, create=True, size=64)
-                        seg.close()
-                    """
-            },
-        )
-        assert "RL006" in rules_of(report)
-        assert "close()+unlink()" in report.findings[0].message
-
-    def test_finally_release_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import itertools
-                    import os
-                    from multiprocessing import shared_memory
-
-                    _COUNTER = itertools.count()
-
-                    def publish(payload: bytes) -> None:
-                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
-                        seg = shared_memory.SharedMemory(name=name, create=True, size=64)
-                        try:
-                            seg.buf[: len(payload)] = payload
-                        finally:
-                            seg.close()
-                            seg.unlink()
-                    """
-            },
-        )
-        assert report.findings == []
-
-    def test_mutation_deleting_finally_unlink_fires(self, tmp_path):
-        """The ISSUE's mutation check: drop the unlink from the finally and
-        RL006 must fire — proof the exceptional-path analysis is live."""
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import itertools
-                    import os
-                    from multiprocessing import shared_memory
-
-                    _COUNTER = itertools.count()
-
-                    def publish(payload: bytes) -> None:
-                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
-                        seg = shared_memory.SharedMemory(name=name, create=True, size=64)
-                        try:
-                            seg.buf[: len(payload)] = payload
-                        finally:
-                            seg.close()
-                    """
-            },
-        )
-        assert rules_of(report) == ["RL006"]
-
-    def test_escape_by_return_is_ownership_transfer(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import itertools
-                    import os
-                    from multiprocessing import shared_memory
-
-                    _COUNTER = itertools.count()
-
-                    def make_segment():
-                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
-                        segment = shared_memory.SharedMemory(name=name, create=True, size=64)
-                        return segment
-                    """
-            },
-        )
-        assert report.findings == []
-
-    def test_attach_side_unlink_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    from multiprocessing import shared_memory
-
-                    def read_segment(name: str) -> bytes:
-                        seg = shared_memory.SharedMemory(name=name)
-                        try:
-                            return bytes(seg.buf[:4])
-                        finally:
-                            seg.close()
-                            seg.unlink()
-                    """
-            },
-        )
-        assert "RL006" in rules_of(report)
-        assert any("never unlink()" in f.message for f in report.findings)
-
-    def test_attach_close_only_clean(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    from multiprocessing import shared_memory
-
-                    def read_segment(name: str) -> bytes:
-                        seg = shared_memory.SharedMemory(name=name)
-                        try:
-                            return bytes(seg.buf[:4])
-                        finally:
-                            seg.close()
-                    """
-            },
-        )
-        assert report.findings == []
-
-    def test_fixed_literal_and_uuid_names_flagged(self, tmp_path):
-        report = lint(
-            tmp_path,
-            {
-                "src/pkg/shm.py": """
-                    import uuid
-                    from multiprocessing import shared_memory
-
-                    def fixed() -> None:
-                        seg = shared_memory.SharedMemory(name="scores", create=True, size=8)
-                        seg.close()
-                        seg.unlink()
-
-                    def randomised() -> None:
-                        seg = shared_memory.SharedMemory(
-                            name=f"seg_{uuid.uuid4()}", create=True, size=8
-                        )
-                        seg.close()
-                        seg.unlink()
-
-                    def unnamed() -> None:
-                        seg = shared_memory.SharedMemory(create=True, size=8)
-                        seg.close()
-                        seg.unlink()
-                    """
-            },
-        )
-        assert rules_of(report).count("RL006") == 3
-        messages = " ".join(f.message for f in report.findings)
-        assert "fixed-literal" in messages
-        assert "uuid" in messages
-
-
-# --------------------------------------------------------------------------- #
 # RL007 fork safety
 # --------------------------------------------------------------------------- #
 class TestRL007ForkSafety:
@@ -1059,109 +806,22 @@ class TestRL007ForkSafety:
                 "src/pkg/pool.py": """
                     import numpy as np
                     from concurrent.futures import ProcessPoolExecutor
-                    from multiprocessing import shared_memory
 
-                    def worker(
-                        name: str,
-                        shape: tuple[int, ...],
-                        blocks: tuple[tuple[int, int], ...],
-                    ) -> None:
-                        seg = shared_memory.SharedMemory(name=name)
-                        try:
-                            scores = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
-                            for start, stop in blocks:
-                                scores[start:stop] = 1.0
-                            del scores
-                        finally:
-                            seg.close()
+                    def worker(seed: int, size: int) -> float:
+                        rng = np.random.default_rng(seed)
+                        return float(rng.normal(size=size).sum())
 
-                    def run(
-                        name: str,
-                        shape: tuple[int, ...],
-                        runs: list[tuple[tuple[int, int], ...]],
-                    ) -> None:
+                    def run(seeds: list[int], size: int) -> list[float]:
                         pool = ProcessPoolExecutor(max_workers=2)
                         try:
-                            futures = [pool.submit(worker, name, shape, r) for r in runs]
-                            for future in futures:
-                                future.result()
+                            futures = [pool.submit(worker, seed, size) for seed in seeds]
+                            return [future.result() for future in futures]
                         finally:
                             pool.shutdown()
                     """
             },
         )
         assert report.findings == []
-
-
-# --------------------------------------------------------------------------- #
-# RL008 disjoint writes
-# --------------------------------------------------------------------------- #
-_RL008_MODULE = """
-    import numpy as np
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import shared_memory
-
-    def worker(
-        name: str,
-        shape: tuple[int, ...],
-        blocks: tuple[tuple[int, int], ...],
-    ) -> None:
-        seg = shared_memory.SharedMemory(name=name)
-        try:
-            scores = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
-            {write}
-            del scores
-        finally:
-            seg.close()
-
-    def run(
-        name: str,
-        shape: tuple[int, ...],
-        runs: list[tuple[tuple[int, int], ...]],
-    ) -> None:
-        pool = ProcessPoolExecutor(max_workers=2)
-        try:
-            for future in [pool.submit(worker, name, shape, r) for r in runs]:
-                future.result()
-        finally:
-            pool.shutdown()
-"""
-
-
-class TestRL008DisjointWrites:
-    def _lint_with_write(self, tmp_path, write: str):
-        return lint(tmp_path, {"src/pkg/pool.py": _RL008_MODULE.format(write=write)})
-
-    def test_block_range_slice_clean(self, tmp_path):
-        report = self._lint_with_write(
-            tmp_path,
-            "for start, stop in blocks:\n                scores[start:stop] = 1.0",
-        )
-        assert report.findings == []
-
-    def test_mutation_whole_array_store_fires(self, tmp_path):
-        """The ISSUE's mutation check: a whole-array store must be a finding."""
-        report = self._lint_with_write(tmp_path, "scores[:] = 1.0")
-        assert rules_of(report) == ["RL008"]
-
-    def test_element_store_fires(self, tmp_path):
-        report = self._lint_with_write(tmp_path, "scores[0] = 1.0")
-        assert rules_of(report) == ["RL008"]
-
-    def test_computed_slice_fires(self, tmp_path):
-        report = self._lint_with_write(
-            tmp_path,
-            "for start, stop in blocks:\n                scores[start : stop + 1] = 1.0",
-        )
-        assert rules_of(report) == ["RL008"]
-
-    def test_view_from_container_tracked(self, tmp_path):
-        report = self._lint_with_write(
-            tmp_path,
-            "views = {}\n            views['scores'] = scores\n"
-            "            out = views['scores']\n            out[:] = 1.0",
-        )
-        assert "RL008" in rules_of(report)
 
 
 # --------------------------------------------------------------------------- #

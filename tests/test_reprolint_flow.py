@@ -1,7 +1,6 @@
-"""Tests for the reprolint flow engine (``tools.reprolint.flow``) and the
-runtime shared-memory sanitizer (``tools.reprolint.shmsan``).
+"""Tests for the reprolint flow engine (``tools.reprolint.flow``).
 
-Three layers:
+Two layers:
 
 * **CFG construction** — basic blocks and edges over straight-line code,
   branches, loops (including ``while True``), ``with``, ``try/finally``
@@ -9,32 +8,23 @@ Three layers:
 * **resource dataflow** — the acquired/released/escaped lattice: joins at
   merge points keep the leaky path visible, exception edges carry pre-call
   state, escapes transfer ownership, and one level of helper summaries
-  propagates acquisitions across calls;
-* **shmsan** — the ledger balances a clean create/close/unlink cycle, trips
-  on deliberate leaks, attach-side unlinks and overlapping writer ranges,
-  and a real ``workers=2`` packed scoring pass runs leak-free under
-  ``REPRO_SHM_SAN=1`` with bit-identical scores.
+  propagates acquisitions across calls.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 import sys
 import textwrap
 from pathlib import Path
-
-import numpy as np
-import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:  # `tools` lives at the repo root, not in src/
     sys.path.insert(0, str(REPO_ROOT))
 
-from tools.reprolint import shmsan  # noqa: E402
 from tools.reprolint.flow import (  # noqa: E402
     FILE,
-    SHM_CREATE,
+    POOL,
     analyse_resources,
     build_cfg,
 )
@@ -188,35 +178,32 @@ class TestResourceDataflow:
         analysis = _analyse(
             tmp_path,
             """
-            from multiprocessing import shared_memory
+            from concurrent.futures import ProcessPoolExecutor
 
             def f(flag):
-                seg = shared_memory.SharedMemory(name="x", create=True, size=8)
+                pool = ProcessPoolExecutor(max_workers=2)
                 if flag:
-                    seg.close()
-                    seg.unlink()
+                    pool.shutdown()
             """,
             "f",
         )
         assert len(analysis.leaks) == 1
         leak = analysis.leaks[0]
-        assert leak.site.kind == SHM_CREATE
+        assert leak.site.kind == POOL
         assert leak.on_normal_exit
 
     def test_release_on_both_branches_is_clean(self, tmp_path):
         analysis = _analyse(
             tmp_path,
             """
-            from multiprocessing import shared_memory
+            from concurrent.futures import ProcessPoolExecutor
 
             def f(flag):
-                seg = shared_memory.SharedMemory(name="x", create=True, size=8)
+                pool = ProcessPoolExecutor(max_workers=2)
                 if flag:
-                    seg.close()
-                    seg.unlink()
+                    pool.shutdown()
                 else:
-                    seg.close()
-                    seg.unlink()
+                    pool.shutdown(wait=False)
             """,
             "f",
         )
@@ -246,12 +233,9 @@ class TestResourceDataflow:
         analysis = _analyse(
             tmp_path,
             """
-            from multiprocessing import shared_memory
-
-            def f():
-                seg = shared_memory.SharedMemory(name="x", create=True, size=8)
-                seg.close()
-                seg.unlink()
+            def f(path):
+                handle = open(path)
+                handle.close()
             """,
             "f",
         )
@@ -261,13 +245,13 @@ class TestResourceDataflow:
         analysis = _analyse(
             tmp_path,
             """
-            from multiprocessing import shared_memory
+            from concurrent.futures import ProcessPoolExecutor
 
             _CACHE = {}
 
             def f():
-                seg = shared_memory.SharedMemory(name="x", create=True, size=8)
-                _CACHE["seg"] = seg
+                pool = ProcessPoolExecutor(max_workers=2)
+                _CACHE["pool"] = pool
             """,
             "f",
         )
@@ -337,117 +321,3 @@ class TestResourceDataflow:
             leak.on_normal_exit and leak.site.kind == FILE
             for leak in leaky.leaks
         )
-
-
-# --------------------------------------------------------------------------- #
-# shmsan: the runtime sanitizer
-# --------------------------------------------------------------------------- #
-@pytest.fixture
-def armed_sanitizer():
-    shmsan.reset()
-    shmsan.install(force=True)
-    yield
-    shmsan.uninstall()
-    shmsan.reset()
-
-
-class TestShmSanLedger:
-    def test_install_requires_env_or_force(self, monkeypatch):
-        monkeypatch.delenv(shmsan.ENV_VAR, raising=False)
-        assert shmsan.install() is False
-        assert not shmsan.installed()
-
-    def test_balanced_cycle_verifies(self, armed_sanitizer):
-        from multiprocessing import shared_memory
-
-        name = f"reproscore_sanok_{os.getpid()}"
-        seg = shared_memory.SharedMemory(name=name, create=True, size=16)
-        seg.close()
-        seg.unlink()
-        ledger = shmsan.verify(require_activity=True)
-        assert ledger.creates_seen == 1
-        assert ledger.violations == []
-
-    def test_deliberate_leak_trips(self, armed_sanitizer):
-        """The ISSUE's mutation check: an unlink-less segment must fail."""
-        from multiprocessing import shared_memory
-
-        name = f"reproscore_sanleak_{os.getpid()}"
-        seg = shared_memory.SharedMemory(name=name, create=True, size=16)
-        seg.close()
-        try:
-            with pytest.raises(shmsan.ShmSanError, match="never unlinked"):
-                shmsan.verify()
-        finally:
-            residue = shmsan._ORIGINAL_SHARED_MEMORY(name=name)
-            residue.unlink()
-            residue.close()
-
-    def test_never_closed_segment_trips(self, armed_sanitizer):
-        shmsan.ledger().record_open("ghost", created=True, size=8)
-        shmsan.ledger().record_unlink("ghost")
-        with pytest.raises(shmsan.ShmSanError, match="never closed"):
-            shmsan.verify()
-
-    def test_attach_side_unlink_is_a_violation(self, armed_sanitizer):
-        ledger = shmsan.ledger()
-        ledger.record_open("seg", created=False, size=8)
-        ledger.record_close("seg")
-        ledger.record_unlink("seg")
-        with pytest.raises(shmsan.ShmSanError, match="attach-side unlink"):
-            shmsan.verify()
-
-    def test_overlapping_writer_ranges_trip(self, armed_sanitizer):
-        shmsan.ledger().note_writer_ranges("scores", [((0, 5),), ((4, 8),)])
-        with pytest.raises(shmsan.ShmSanError, match="overlapping writer"):
-            shmsan.verify()
-
-    def test_disjoint_writer_ranges_pass(self, armed_sanitizer):
-        shmsan.ledger().note_writer_ranges("scores", [((0, 5), (5, 8)), ((8, 12),)])
-        shmsan.verify()
-
-    def test_require_activity_rejects_idle_ledger(self, armed_sanitizer):
-        with pytest.raises(shmsan.ShmSanError, match="no shared-memory activity"):
-            shmsan.verify(require_activity=True)
-
-    def test_reset_clears_ledger(self, armed_sanitizer):
-        shmsan.ledger().record_open("seg", created=True, size=8)
-        shmsan.reset()
-        assert shmsan.ledger().records == {}
-
-
-class TestSanitizedScoringEndToEnd:
-    def test_workers2_pass_is_leak_free_and_bit_identical(self, monkeypatch):
-        from repro.core import scoring
-
-        monkeypatch.setenv(shmsan.ENV_VAR, "1")
-        monkeypatch.setattr(scoring, "_SAN_AUTOINSTALL_TRIED", False)
-        monkeypatch.setattr(scoring, "_SCORING_OBSERVER", None)
-        shmsan.reset()
-        try:
-            rng = np.random.default_rng(11)
-            blocks = [rng.normal(size=(16, 6)) for _ in range(4)]
-            positions = [list(range(b * 16, (b + 1) * 16)) for b in range(4)]
-            sizes = [[128] * 16 for _ in range(4)]
-            pool = scoring.pack_arm_pool(
-                blocks, positions, sizes, [f"s{b}" for b in range(4)]
-            )
-            theta = rng.normal(size=6)
-            v_inverse = np.eye(6)
-            parallel = scoring.score_packed(
-                pool, theta, v_inverse, alpha=0.5, workers=2
-            )
-            if not parallel.used_processes:
-                pytest.skip("shared-memory process pool unavailable here")
-            # Shutting the pool down triggers the observer's ledger check.
-            scoring._shutdown_executors()
-            ledger = shmsan.verify(require_activity=True)
-            assert ledger.creates_seen >= 4
-            assert ledger.violations == []
-            assert ledger.leaks() == []
-            assert "scores" in " ".join(ledger.writer_ranges) or ledger.writer_ranges
-            serial = scoring.score_packed(pool, theta, v_inverse, alpha=0.5, workers=1)
-            np.testing.assert_array_equal(parallel.scores, serial.scores)
-        finally:
-            shmsan.uninstall()
-            shmsan.reset()

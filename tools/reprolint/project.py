@@ -9,7 +9,7 @@ Built once per run from the parsed ASTs, the index gives rules three things:
   dataclass field annotations, return annotations) so method calls can be
   resolved to the class that actually receives them;
 * **a call graph** — :meth:`ProjectIndex.reachable_functions` walks from an
-  entry point through resolvable calls (RL004's shard-safety walk).
+  entry point through resolvable calls (RL004's read-only-scoring walk).
 
 The resolver favours *precision over recall*: an attribute call whose
 receiver type cannot be inferred is linked only when exactly one function in
@@ -43,7 +43,7 @@ class AttributeStore:
 class FunctionInfo:
     """One function or method (nested functions get their own entry)."""
 
-    qualname: str  # e.g. "repro.core.tuner.MabTuner._score_sharded.score_shard"
+    qualname: str  # e.g. "repro.core.linear_bandit.LinearScorer.expected_rewards"
     name: str
     module: str  # dotted module name
     relative_path: str
@@ -83,7 +83,7 @@ class ModuleInfo:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     #: local name -> fully dotted target ("np" -> "numpy",
-    #: "shard_arms" -> "repro.core.arms.shard_arms").
+    #: "create_tuner" -> "repro.api.registry.create_tuner").
     import_aliases: dict[str, str] = field(default_factory=dict)
 
 

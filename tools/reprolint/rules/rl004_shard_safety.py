@@ -1,20 +1,18 @@
-"""RL004 — shard-scorer race safety (the cross-file call-graph rule).
+"""RL004 — scoring is read-only on the live bandit (the call-graph rule).
 
-With ``scoring.workers > 1`` the MAB tuner scores packed arm blocks
-concurrently: ``MabTuner._score_packed`` snapshots the bandit into a frozen
-:class:`repro.core.linear_bandit.LinearScorer` (``theta``, ``v_inverse``)
-and publishes the *snapshot* into shared memory for every block worker
-(:func:`repro.core.scoring.score_packed`).  The parity contract
-``sharded == monolithic == packed`` only holds if nothing on a
-block-scoring path mutates the live bandit (``_v``, ``_b``, ``_v_inverse``,
-``_theta``) — a write from one worker would be observed by another
-mid-round.
+The fleet scores many tenants in one vectorized pass
+(:func:`repro.core.linear_bandit.batch_upper_confidence_scores`) against
+frozen :class:`repro.core.linear_bandit.LinearScorer` snapshots (``theta``,
+``v_inverse``).  The parity contract ``fleet == standalone session`` only
+holds if nothing on a scoring path mutates a learner (``_v``, ``_b``,
+``_v_inverse``, ``_theta``) — a write while the fleet holds snapshots would
+score one tenant against state another round already moved.
 
-The rule walks the call graph from the scoring entry points (the scoring
-kernels, the shared-memory block worker and the frozen scorer's methods —
-**not** ``_score_packed`` itself, which legitimately builds the snapshot
-first) and flags every assignment to a mutable-bandit attribute reachable
-from them.
+The rule walks the call graph from the scoring entry points (the three
+kernels, the batched pass and the frozen scorer's methods — **not**
+``C2UCB.upper_confidence_scores``, which legitimately refreshes its lazy
+``theta``/``V⁻¹`` caches before scoring) and flags every assignment to a
+mutable-bandit attribute reachable from them.
 """
 
 from __future__ import annotations
@@ -26,31 +24,27 @@ from . import Rule, RuleContext, register_rule
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding
 
-#: Qualified-name suffixes of the functions that run inside scoring workers.
-#: ``_score_packed`` itself is *not* an entry point: it runs on the
-#: coordinating process and legitimately materialises the scorer snapshot
-#: (which lazily computes ``theta``) before any worker starts.  The
-#: ``_score_sharded.score_shard`` suffix is retained for out-of-tree
-#: shard-closure implementations of the legacy protocol.
-SHARD_ENTRY_POINTS = (
-    "MabTuner._score_sharded.score_shard",
-    "scoring.ucb_scores",
-    "scoring._score_block_worker",
+#: Qualified-name suffixes of the read-only scoring functions.
+SCORING_ENTRY_POINTS = (
+    "linear_bandit.expected_rewards",
+    "linear_bandit.exploration_bonus",
+    "linear_bandit.ucb_scores",
+    "linear_bandit.batch_upper_confidence_scores",
     "LinearScorer.upper_confidence_scores",
     "LinearScorer.expected_rewards",
     "LinearScorer.exploration_bonus",
 )
 
-#: Live-bandit state that must never be assigned on a shard-scoring path.
+#: Live-bandit state that must never be assigned on a scoring path.
 MUTABLE_BANDIT_ATTRIBUTES = frozenset(
     {"_v", "_b", "_v_inverse", "_theta", "theta", "v_inverse"}
 )
 
 
 @register_rule
-class ShardSafetyRule(Rule):
+class ScoringSafetyRule(Rule):
     id = "RL004"
-    title = "no live-bandit mutation reachable from sharded scoring entry points"
+    title = "no live-bandit mutation reachable from the scoring entry points"
 
     def check_project(self, context: RuleContext) -> Iterable["Finding"]:
         if context.index is None:
@@ -63,7 +57,7 @@ class ShardSafetyRule(Rule):
         index = context.index
         assert index is not None
         seen: set[tuple[str, int, str]] = set()
-        for suffix in SHARD_ENTRY_POINTS:
+        for suffix in SCORING_ENTRY_POINTS:
             for entry in index.find_functions(suffix):
                 for function in index.reachable_functions(entry):
                     for store in function.attribute_stores:
@@ -80,10 +74,10 @@ class ShardSafetyRule(Rule):
                             col=store.col,
                             message=(
                                 f"assignment to {store.receiver}.{store.attribute} "
-                                f"in {function.qualname} is reachable from shard "
-                                f"entry point {entry.qualname}; shard workers must "
-                                "only read the frozen LinearScorer snapshot "
-                                "(sharded == monolithic parity)"
+                                f"in {function.qualname} is reachable from scoring "
+                                f"entry point {entry.qualname}; scoring must only "
+                                "read the frozen LinearScorer snapshot "
+                                "(fleet == standalone parity)"
                             ),
                             symbol=function.qualname,
                         )
