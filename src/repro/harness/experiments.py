@@ -23,14 +23,16 @@ Index of experiments (see DESIGN.md for the full mapping):
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.api.competition import DatabaseSpec, run_competition
-from repro.api.registry import TunerSpec
+from repro.api.registry import TunerSpec, create_tuner
 from repro.api.session import SimulationOptions
 from repro.engine.catalog import Database
+from repro.interface import Tuner
 from repro.workloads.base import Benchmark
 from repro.workloads.generator import (
     RandomWorkload,
@@ -109,6 +111,26 @@ class ExperimentSettings:
 # --------------------------------------------------------------------- #
 # tuner and workload factories
 # --------------------------------------------------------------------- #
+def make_tuner(
+    name: str,
+    database: Database,
+    benchmark_name: str = "",
+    workload_type: str = "static",
+    settings: ExperimentSettings | None = None,
+) -> Tuner:
+    """Deprecated: use :func:`repro.api.create_tuner` with a :class:`TunerSpec`."""
+    warnings.warn(
+        "make_tuner is deprecated; use repro.api.create_tuner(name, database, "
+        "TunerSpec(...)) instead",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    settings = settings or ExperimentSettings()
+    return create_tuner(
+        name, database, settings.tuner_spec(benchmark_name, workload_type)
+    )
+
+
 def build_workload_rounds(
     benchmark: Benchmark,
     database: Database,

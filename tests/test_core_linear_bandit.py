@@ -1,20 +1,9 @@
-"""Tests for the C²UCB linear bandit learner and its scoring kernels."""
+"""Tests for the C²UCB linear bandit learner."""
 
 import numpy as np
 import pytest
 
 from repro.core import C2UCB
-from repro.core.linear_bandit import LinearScorer, ucb_scores
-
-
-def random_problem(seed: int, n_arms: int, dimension: int):
-    """A random (theta, V⁻¹, contexts) triple with a symmetric PSD inverse."""
-    rng = np.random.default_rng(seed)
-    theta = rng.normal(size=dimension)
-    half = rng.normal(size=(dimension, dimension))
-    v_inverse = half @ half.T / dimension + np.eye(dimension)
-    contexts = rng.normal(size=(n_arms, dimension))
-    return theta, v_inverse, contexts
 
 
 class TestInitialisation:
@@ -60,36 +49,6 @@ class TestScoring:
     def test_one_dimensional_context_accepted(self):
         bandit = C2UCB(dimension=3)
         assert bandit.expected_rewards(np.zeros(3)).shape == (1,)
-
-
-class TestKernelParity:
-    """``ucb_scores`` == ``LinearScorer`` == ``C2UCB``, bit for bit."""
-
-    def test_kernel_matches_linear_scorer_bitwise(self):
-        theta, v_inverse, contexts = random_problem(0, 200, 12)
-        scorer = LinearScorer(theta, v_inverse)
-        kernel = ucb_scores(theta, v_inverse, contexts, alpha=1.5)
-        assert np.array_equal(kernel, scorer.upper_confidence_scores(contexts, 1.5))
-
-    def test_kernel_matches_live_learner_bitwise(self):
-        theta, v_inverse, contexts = random_problem(1, 50, 8)
-        learner = C2UCB(dimension=8)
-        learner.update(contexts[:10], np.linspace(-1, 1, 10))
-        expected = learner.upper_confidence_scores(contexts, 2.0)
-        kernel = ucb_scores(learner.theta(), learner._inverse(), contexts, 2.0)
-        assert np.array_equal(kernel, expected)
-        snapshot = learner.scorer().upper_confidence_scores(contexts, 2.0)
-        assert np.array_equal(snapshot, expected)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
-    def test_parity_across_input_dtypes(self, dtype):
-        theta, v_inverse, contexts = random_problem(5, 40, 6)
-        cast = (contexts * 8).astype(dtype)
-        scorer = LinearScorer(theta, v_inverse)
-        # The scorer converts inputs with asarray(dtype=float) before the
-        # kernel runs — the same numeric path as float64 input.
-        kernel = ucb_scores(theta, v_inverse, cast.astype(float), alpha=1.0)
-        assert np.array_equal(scorer.upper_confidence_scores(cast, 1.0), kernel)
 
 
 class TestLearning:

@@ -1,64 +1,24 @@
-"""The packed scoring core and the ``ScoringConfig`` API surface.
+"""The UCB scoring kernels in :mod:`repro.core.linear_bandit`.
 
-The load-bearing guarantees:
-
-* **score parity** — the packed blocked GEMM pass produces bit-identical
-  scores to the monolithic :class:`~repro.core.linear_bandit.LinearScorer`
-  pass (a single-block pool *is* the monolithic pass) and to the legacy
-  per-shard pass (each block is scored by the same 2-D kernel call on a
-  byte-compatible matrix), at any worker count and for any input dtype;
-* **cleanup** — the shared-memory process path leaves no ``/dev/shm``
-  residue, even when a worker dies mid-pass (the pass degrades to the
-  serial path with identical scores);
-* **one config surface** — the legacy
-  ``shard_by``/``shard_top_k``/``shard_workers``/``batch_scoring`` knobs
-  are :class:`DeprecationWarning` shims that normalise into
-  :class:`~repro.core.scoring.ScoringConfig` bit-for-bit.
+Every scoring surface — :meth:`C2UCB.upper_confidence_scores`, the frozen
+:class:`LinearScorer` snapshot, and the fleet's stacked
+:func:`batch_upper_confidence_scores` pass — runs the same
+``theta' x + alpha * sqrt(x' V^{-1} x)`` operation sequence, so their scores
+must agree bit for bit, for any pool size, any number of stacked blocks and
+any input dtype.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
-import pickle
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.api import (
-    ScoringConfig,
-    ScoringNotSupportedError,
-    ScoringStats,
-    SimulationOptions,
-    TuningSession,
-    UnknownScoringStrategyError,
-    create_tuner,
-)
-from repro.core import MabConfig, MabTuner
-from repro.core import scoring as scoring_module
-from repro.core.linear_bandit import C2UCB, LinearScorer
-from repro.core.scoring import (
-    SCORING_STRATEGIES,
-    ConfigurableScoring,
-    pack_arm_pool,
-    score_packed,
+from repro.core.linear_bandit import (
+    C2UCB,
+    LinearScorer,
+    batch_upper_confidence_scores,
     ucb_scores,
 )
-from repro.fleet import FleetConfig
-from repro.workloads import StaticWorkload, get_benchmark
-
-
-def shm_residue() -> list[str]:
-    """Shared-memory segments of the scoring core still present in /dev/shm."""
-    root = "/dev/shm"
-    if not os.path.isdir(root):  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(
-        name
-        for name in os.listdir(root)
-        if name.startswith(scoring_module._SHM_PREFIX)
-    )
 
 
 def random_problem(seed: int, n_arms: int, dimension: int):
@@ -71,60 +31,8 @@ def random_problem(seed: int, n_arms: int, dimension: int):
     return theta, v_inverse, contexts
 
 
-def split_rows(n_rows: int, n_blocks: int) -> list[tuple[int, int]]:
-    """Deterministic uneven block boundaries covering ``range(n_rows)``."""
-    edges = sorted({0, n_rows, *((i * n_rows) // n_blocks for i in range(1, n_blocks))})
-    return [(start, stop) for start, stop in zip(edges, edges[1:]) if stop > start]
-
-
-def pack_rows(contexts: np.ndarray, boundaries: list[tuple[int, int]]):
-    blocks = [contexts[start:stop] for start, stop in boundaries]
-    positions = [list(range(start, stop)) for start, stop in boundaries]
-    sizes = [[128] * (stop - start) for start, stop in boundaries]
-    keys = [f"block{i}" for i in range(len(boundaries))]
-    return pack_arm_pool(blocks, positions, sizes, keys)
-
-
 # --------------------------------------------------------------------- #
-# ScoringConfig: validation, immutability, picklability
-# --------------------------------------------------------------------- #
-class TestScoringConfig:
-    def test_unknown_strategy_is_keyerror_and_valueerror_listing_valid(self):
-        with pytest.raises(UnknownScoringStrategyError) as excinfo:
-            ScoringConfig(strategy="region")
-        assert isinstance(excinfo.value, KeyError)
-        assert isinstance(excinfo.value, ValueError)
-        message = str(excinfo.value)
-        for strategy in SCORING_STRATEGIES:
-            assert strategy in message
-
-    def test_strategy_spelling_is_normalised(self):
-        assert ScoringConfig(strategy=" Table ").strategy == "table"
-        assert ScoringConfig(strategy="HASH").shard_by == "hash"
-        assert ScoringConfig().shard_by is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(top_k=0), dict(workers=-1), dict(n_hash_shards=0)],
-    )
-    def test_out_of_range_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ScoringConfig(**kwargs)
-
-    def test_frozen_and_picklable(self):
-        config = ScoringConfig(strategy="table", top_k=None, workers=2, batch=False)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            config.workers = 4
-        assert pickle.loads(pickle.dumps(config)) == config
-
-    def test_resolved_workers_never_exceeds_blocks(self):
-        assert ScoringConfig(workers=16).resolved_workers(3) == 3
-        assert ScoringConfig(workers=2).resolved_workers(64) == 2
-        assert ScoringConfig(workers=0).resolved_workers(64) >= 1
-
-
-# --------------------------------------------------------------------- #
-# score parity: packed == monolithic == per-shard, bit for bit
+# score parity: kernel == scorer == learner == stacked pass, bit for bit
 # --------------------------------------------------------------------- #
 class TestPackedParity:
     def test_kernel_matches_linear_scorer_bitwise(self):
@@ -140,28 +48,32 @@ class TestPackedParity:
         expected = learner.upper_confidence_scores(contexts, 2.0)
         kernel = ucb_scores(learner.theta(), learner._inverse(), contexts, 2.0)
         assert np.array_equal(kernel, expected)
+        snapshot = learner.scorer().upper_confidence_scores(contexts, 2.0)
+        assert np.array_equal(snapshot, expected)
 
     @pytest.mark.parametrize("n_arms", [1, 7, 64, 500])
     @pytest.mark.parametrize("n_blocks", [1, 3, 8])
     def test_packed_blocks_match_monolithic_and_per_shard(self, n_arms, n_blocks):
-        theta, v_inverse, contexts = random_problem(n_arms * 31 + n_blocks, n_arms, 10)
-        scorer = LinearScorer(theta, v_inverse)
-        boundaries = split_rows(n_arms, n_blocks)
-        packed = pack_rows(contexts, boundaries)
-        result = score_packed(packed, theta, v_inverse, alpha=0.7)
-        assert not result.used_processes
+        # n_blocks same-shaped pools, one per learner, stacked into one
+        # (n_blocks, n_arms, d) tensor by the batched pass.
+        problems = [
+            random_problem(n_arms * 31 + n_blocks * 7 + block, n_arms, 10)
+            for block in range(n_blocks)
+        ]
+        scorers = [LinearScorer(theta, v_inverse) for theta, v_inverse, _ in problems]
+        blocks = [contexts for _, _, contexts in problems]
+        alphas = [0.7 + 0.1 * block for block in range(n_blocks)]
+        batched = batch_upper_confidence_scores(scorers, blocks, alphas)
 
-        # Per-shard parity: every block scores exactly as the legacy pass
-        # scored its standalone shard matrix.
-        for start, stop in boundaries:
+        # Per-block parity: every slice of the stacked pass scores exactly as
+        # its learner's own 2-D pass.
+        for scorer, block, alpha, scores in zip(scorers, blocks, alphas, batched):
+            assert np.array_equal(scores, scorer.upper_confidence_scores(block, alpha))
+        # Monolithic parity: a single stacked block IS the monolithic kernel.
+        if n_blocks == 1:
+            theta, v_inverse, contexts = problems[0]
             assert np.array_equal(
-                result.scores[start:stop],
-                scorer.upper_confidence_scores(contexts[start:stop], 0.7),
-            )
-        # Monolithic parity: a single-block pool IS the monolithic pass.
-        if len(boundaries) == 1:
-            assert np.array_equal(
-                result.scores, scorer.upper_confidence_scores(contexts, 0.7)
+                batched[0], ucb_scores(theta, v_inverse, contexts, alphas[0])
             )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
@@ -169,228 +81,13 @@ class TestPackedParity:
         theta, v_inverse, contexts = random_problem(5, 40, 6)
         cast = (contexts * 8).astype(dtype)
         scorer = LinearScorer(theta, v_inverse)
-        packed = pack_rows(cast, split_rows(40, 4))
-        result = score_packed(packed, theta, v_inverse, alpha=1.0)
-        # LinearScorer converts inputs with asarray(dtype=float); the packed
-        # pool normalises to float64 at pack time — same numeric path.
-        assert np.array_equal(
-            result.scores, scorer.upper_confidence_scores(cast, 1.0)
-        )
+        # The scorer converts inputs with asarray(dtype=float) before the
+        # kernel runs — the same numeric path as float64 input.
+        kernel = ucb_scores(theta, v_inverse, cast.astype(float), alpha=1.0)
+        assert np.array_equal(scorer.upper_confidence_scores(cast, 1.0), kernel)
 
     def test_empty_pool_scores_empty(self):
-        packed = pack_arm_pool([], [], [], [])
-        result = score_packed(packed, np.zeros(3), np.eye(3), alpha=1.0)
-        assert result.scores.shape == (0,)
-
-    def test_pack_rejects_misaligned_blocks(self):
-        with pytest.raises(ValueError):
-            pack_arm_pool([np.zeros((2, 3))], [[0]], [[1, 2]], ["k"])
-        with pytest.raises(ValueError):
-            pack_arm_pool([np.zeros((2, 3))], [[0, 1]], [[1, 2]], [])
-
-
-# --------------------------------------------------------------------- #
-# the shared-memory process pool
-# --------------------------------------------------------------------- #
-class TestProcessPool:
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_invariance_bitwise(self, workers):
-        theta, v_inverse, contexts = random_problem(9, 300, 14)
-        packed = pack_rows(contexts, split_rows(300, 6))
-        serial = score_packed(packed, theta, v_inverse, alpha=1.3, workers=1)
-        parallel = score_packed(packed, theta, v_inverse, alpha=1.3, workers=workers)
-        assert parallel.used_processes
-        assert parallel.shared_memory_bytes > 0
-        assert np.array_equal(parallel.scores, serial.scores)
-        assert shm_residue() == []
-
-    def test_single_block_pool_stays_serial(self):
-        theta, v_inverse, contexts = random_problem(10, 50, 6)
-        packed = pack_rows(contexts, [(0, 50)])
-        result = score_packed(packed, theta, v_inverse, alpha=1.0, workers=4)
-        assert not result.used_processes
-        assert result.shared_memory_bytes == 0
-
-    def test_worker_crash_falls_back_to_serial_and_unlinks(self, monkeypatch):
-        """A worker dying mid-pass must not change scores or leak segments."""
-        theta, v_inverse, contexts = random_problem(11, 120, 8)
-        packed = pack_rows(contexts, split_rows(120, 5))
-        serial = score_packed(packed, theta, v_inverse, alpha=0.9, workers=1)
-
-        monkeypatch.setattr(scoring_module, "_score_block_worker", _crash_worker)
-        crashed = score_packed(packed, theta, v_inverse, alpha=0.9, workers=2)
-        assert not crashed.used_processes
-        assert np.array_equal(crashed.scores, serial.scores)
-        assert shm_residue() == []
-
-        monkeypatch.undo()
-        # The broken pool was discarded: the next parallel pass forks fresh
-        # workers and succeeds again.
-        recovered = score_packed(packed, theta, v_inverse, alpha=0.9, workers=2)
-        assert recovered.used_processes
-        assert np.array_equal(recovered.scores, serial.scores)
-        assert shm_residue() == []
-
-
-def _crash_worker(manifest, alpha, block_slices):
-    """Stand-in worker that dies without cleanup (simulates a hard crash)."""
-    os._exit(1)
-
-
-# --------------------------------------------------------------------- #
-# the tuner routes through the core
-# --------------------------------------------------------------------- #
-def run_configurations(scoring: ScoringConfig | None, n_rounds: int = 6):
-    """Per-round selected configurations of a MAB session at fixed seeds."""
-    benchmark = get_benchmark("ssb")
-    database = benchmark.create_database(sample_rows=300, seed=7)
-    rounds = StaticWorkload(
-        database, benchmark.templates, n_rounds=n_rounds, seed=1
-    ).materialise()
-    session = TuningSession(
-        database,
-        create_tuner("MAB", database),
-        SimulationOptions(benchmark_name="ssb", scoring=scoring),
-    )
-    configurations = []
-    for workload_round in rounds:
-        recommendation = session.recommend(round_number=workload_round.round_number)
-        configurations.append(
-            sorted(index.index_id for index in recommendation.configuration)
-        )
-        session.execute(workload_round.queries)
-        session.observe()
-    return configurations, session.tuner
-
-
-class TestTunerIntegration:
-    def test_mab_tuner_satisfies_configurable_scoring(self, tiny_database):
-        assert isinstance(MabTuner(tiny_database), ConfigurableScoring)
-
-    def test_packed_session_matches_monolithic_with_process_workers(self):
-        monolithic, _ = run_configurations(None)
-        packed, tuner = run_configurations(
-            ScoringConfig(strategy="table", workers=2)
-        )
-        assert packed == monolithic
-        assert any(index_ids for index_ids in packed), "runs must select something"
-        stats = tuner.last_scoring_stats
-        assert isinstance(stats, ScoringStats)
-        assert stats.strategy == "table"
-        assert stats.workers == 2
-        assert stats.used_processes
-        assert stats.shared_memory_bytes > 0
-        assert shm_residue() == []
-        # The deprecated diagnostic stays a derived view of the new one.
-        legacy = tuner.last_shard_stats
-        assert legacy is not None
-        assert (legacy.n_arms, legacy.n_shards, legacy.n_candidates) == (
-            stats.n_arms,
-            stats.n_shards,
-            stats.n_candidates,
-        )
-
-    def test_configure_scoring_rejects_non_config(self, tiny_database):
-        with pytest.raises(TypeError):
-            MabTuner(tiny_database).configure_scoring("table")
-
-    def test_session_scoring_installs_on_tuner(self, tiny_database):
-        config = ScoringConfig(strategy="hash", top_k=None, n_hash_shards=4)
-        tuner = MabTuner(tiny_database)
-        TuningSession(tiny_database, tuner, SimulationOptions(scoring=config))
-        assert tuner.config.scoring == config
-
-    def test_session_scoring_on_non_pool_tuner_raises_typed_error(
-        self, tiny_database
-    ):
-        tuner = create_tuner("NoIndex", tiny_database)
-        with pytest.raises(ScoringNotSupportedError) as excinfo:
-            TuningSession(
-                tiny_database, tuner, SimulationOptions(scoring=ScoringConfig())
-            )
-        assert isinstance(excinfo.value, TypeError)
-        assert isinstance(excinfo.value, ValueError)
-
-    def test_legacy_shard_by_still_ignored_by_non_pool_tuners(self, tiny_database):
-        tuner = create_tuner("NoIndex", tiny_database)
-        with pytest.warns(DeprecationWarning):
-            options = SimulationOptions(shard_by="table")
-        TuningSession(tiny_database, tuner, options)  # must not raise
-
-
-# --------------------------------------------------------------------- #
-# deprecation shims: old spellings == new spellings, bit for bit
-# --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_mab_config_legacy_knobs_normalise_and_warn(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = MabConfig(
-                shard_by="table", shard_top_k=4, shard_workers=2, n_hash_shards=3
-            )
-        explicit = MabConfig(
-            scoring=ScoringConfig(strategy="table", top_k=4, workers=2, n_hash_shards=3)
-        )
-        assert legacy == explicit
-        assert legacy.shard_by == "table"
-        assert legacy.shard_top_k == 4
-        assert legacy.shard_workers == 2
-        assert legacy.n_hash_shards == 3
-
-    def test_mab_config_replace_round_trip_neither_warns_nor_mutates(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = MabConfig(shard_by="hash", shard_workers=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bumped = dataclasses.replace(legacy, seed=23)
-        assert bumped.scoring == legacy.scoring
-        assert bumped.seed == 23
-
-    def test_simulation_options_shard_by_warns_and_normalises(self):
-        with pytest.warns(DeprecationWarning):
-            options = SimulationOptions(shard_by="table")
-        assert options.scoring == ScoringConfig(strategy="table")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            explicit = SimulationOptions(scoring=ScoringConfig(strategy="table"))
-        assert explicit.scoring == options.scoring
-
-    def test_simulation_options_shard_by_none_stays_no_op(self):
-        with pytest.warns(DeprecationWarning):
-            options = SimulationOptions(shard_by=None)
-        assert options.scoring is None
-
-    def test_fleet_config_batch_scoring_warns_and_normalises(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = FleetConfig(batch_scoring=False)
-        assert legacy.batch_scoring is False
-        assert legacy.effective_scoring().batch is False
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            default = FleetConfig()
-            explicit = FleetConfig(scoring=ScoringConfig(batch=False))
-        assert default.batch_scoring is True
-        assert explicit.batch_scoring is False
-
-    def test_legacy_session_spelling_matches_new_bit_for_bit(self):
-        """The deprecated knobs must drive the exact same recommendations."""
-        new_style, _ = run_configurations(ScoringConfig(strategy="table"))
-
-        benchmark = get_benchmark("ssb")
-        database = benchmark.create_database(sample_rows=300, seed=7)
-        rounds = StaticWorkload(
-            database, benchmark.templates, n_rounds=6, seed=1
-        ).materialise()
-        with pytest.warns(DeprecationWarning):
-            options = SimulationOptions(benchmark_name="ssb", shard_by="table")
-        session = TuningSession(database, create_tuner("MAB", database), options)
-        old_style = []
-        for workload_round in rounds:
-            recommendation = session.recommend(
-                round_number=workload_round.round_number
-            )
-            old_style.append(
-                sorted(index.index_id for index in recommendation.configuration)
-            )
-            session.execute(workload_round.queries)
-            session.observe()
-        assert old_style == new_style
+        scores = ucb_scores(np.zeros(3), np.eye(3), np.zeros((0, 3)), alpha=1.0)
+        assert scores.shape == (0,)
+        learner = C2UCB(dimension=3)
+        assert learner.upper_confidence_scores(np.zeros((0, 3)), 1.0).shape == (0,)

@@ -19,6 +19,7 @@ from repro.harness import (
     exploration_cost_summary,
     final_round_execution_comparison,
     format_table,
+    make_tuner,
     run_simulation,
     run_workload_experiment,
     speedup_percentage,
@@ -257,6 +258,23 @@ class TestSimulation:
 
 
 class TestExperiments:
+    def test_make_tuner_names(self, tiny_database):
+        # make_tuner is a deprecated shim over repro.api.create_tuner.
+        for name, expected in [
+            ("NoIndex", "NoIndex"),
+            ("MAB", "MAB"),
+            ("PDTool", "PDTool"),
+            ("DDQN", "DDQN"),
+            ("DDQN_SC", "DDQN_SC"),
+        ]:
+            with pytest.warns(DeprecationWarning):
+                assert make_tuner(name, tiny_database).name == expected
+        with pytest.warns(DeprecationWarning):
+            with pytest.raises(KeyError, match="registered tuners"):
+                make_tuner("unknown", tiny_database)
+            with pytest.raises(ValueError, match="registered tuners"):
+                make_tuner("unknown", tiny_database)
+
     def test_settings_quick_and_overrides(self):
         settings = ExperimentSettings.quick()
         assert settings.static_rounds < ExperimentSettings().static_rounds

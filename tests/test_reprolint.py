@@ -420,6 +420,18 @@ class TestRL005PublicSurface:
         assert rules_of(report) == ["RL005"]
         assert "repro.core.tuner" in report.findings[0].message
 
+    def test_deprecated_import_flagged_in_src(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "src/repro/extra/glue.py": """
+                    from repro.harness.interface import run_simulation
+                    """
+            },
+        )
+        assert rules_of(report) == ["RL005"]
+        assert "deprecated" in report.findings[0].message
+
     def test_dunder_all_audit(self, tmp_path):
         report = lint(
             tmp_path,
@@ -496,6 +508,35 @@ class TestRL005PublicSurface:
                     def __getattr__(name: str) -> object:
                         raise AttributeError(name)
                     """
+            },
+        )
+        assert report.findings == []
+
+    def test_scoring_kwargs_allowed_in_shims_tests_and_other_callees(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                # The shim module itself may spell the legacy knobs.
+                "src/repro/core/config.py": """
+                    def _rebuild(cls):
+                        return cls(shard_by="table")
+
+
+                    class MabConfig:
+                        pass
+                    """,
+                # Tests exercise the deprecation path on purpose.
+                "tests/test_legacy.py": """
+                    from repro.core.config import MabConfig
+
+                    config = MabConfig(shard_by="table")
+                    """,
+                # Same-named parameters on other callables are the live API.
+                "src/repro/extra/partition.py": """
+                    from repro.core.sharding import shard_arms
+
+                    shards = shard_arms([], shard_by="table")
+                    """,
             },
         )
         assert report.findings == []
@@ -709,6 +750,171 @@ class TestRepoIsClean:
 
 
 # --------------------------------------------------------------------------- #
+# RL006 shared-memory lifecycle
+# --------------------------------------------------------------------------- #
+class TestRL006ShmLifecycle:
+    def test_create_without_unlink_flagged(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/shm.py": """
+                    import itertools
+                    import os
+                    from multiprocessing import shared_memory
+
+                    _COUNTER = itertools.count()
+
+                    def publish() -> None:
+                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
+                        seg = shared_memory.SharedMemory(name=name, create=True, size=64)
+                        seg.close()
+                    """
+            },
+        )
+        assert "RL006" in rules_of(report)
+        assert "close()+unlink()" in report.findings[0].message
+
+    def test_finally_release_clean(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/shm.py": """
+                    import itertools
+                    import os
+                    from multiprocessing import shared_memory
+
+                    _COUNTER = itertools.count()
+
+                    def publish(payload: bytes) -> None:
+                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
+                        seg = shared_memory.SharedMemory(name=name, create=True, size=64)
+                        try:
+                            seg.buf[: len(payload)] = payload
+                        finally:
+                            seg.close()
+                            seg.unlink()
+                    """
+            },
+        )
+        assert report.findings == []
+
+    def test_mutation_deleting_finally_unlink_fires(self, tmp_path):
+        """The ISSUE's mutation check: drop the unlink from the finally and
+        RL006 must fire — proof the exceptional-path analysis is live."""
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/shm.py": """
+                    import itertools
+                    import os
+                    from multiprocessing import shared_memory
+
+                    _COUNTER = itertools.count()
+
+                    def publish(payload: bytes) -> None:
+                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
+                        seg = shared_memory.SharedMemory(name=name, create=True, size=64)
+                        try:
+                            seg.buf[: len(payload)] = payload
+                        finally:
+                            seg.close()
+                    """
+            },
+        )
+        assert rules_of(report) == ["RL006"]
+
+    def test_escape_by_return_is_ownership_transfer(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/shm.py": """
+                    import itertools
+                    import os
+                    from multiprocessing import shared_memory
+
+                    _COUNTER = itertools.count()
+
+                    def make_segment():
+                        name = f"reproscore_{os.getpid()}_{next(_COUNTER)}"
+                        segment = shared_memory.SharedMemory(name=name, create=True, size=64)
+                        return segment
+                    """
+            },
+        )
+        assert report.findings == []
+
+    def test_attach_side_unlink_flagged(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/shm.py": """
+                    from multiprocessing import shared_memory
+
+                    def read_segment(name: str) -> bytes:
+                        seg = shared_memory.SharedMemory(name=name)
+                        try:
+                            return bytes(seg.buf[:4])
+                        finally:
+                            seg.close()
+                            seg.unlink()
+                    """
+            },
+        )
+        assert "RL006" in rules_of(report)
+        assert any("never unlink()" in f.message for f in report.findings)
+
+    def test_attach_close_only_clean(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/shm.py": """
+                    from multiprocessing import shared_memory
+
+                    def read_segment(name: str) -> bytes:
+                        seg = shared_memory.SharedMemory(name=name)
+                        try:
+                            return bytes(seg.buf[:4])
+                        finally:
+                            seg.close()
+                    """
+            },
+        )
+        assert report.findings == []
+
+    def test_fixed_literal_and_uuid_names_flagged(self, tmp_path):
+        report = lint(
+            tmp_path,
+            {
+                "src/pkg/shm.py": """
+                    import uuid
+                    from multiprocessing import shared_memory
+
+                    def fixed() -> None:
+                        seg = shared_memory.SharedMemory(name="scores", create=True, size=8)
+                        seg.close()
+                        seg.unlink()
+
+                    def randomised() -> None:
+                        seg = shared_memory.SharedMemory(
+                            name=f"seg_{uuid.uuid4()}", create=True, size=8
+                        )
+                        seg.close()
+                        seg.unlink()
+
+                    def unnamed() -> None:
+                        seg = shared_memory.SharedMemory(create=True, size=8)
+                        seg.close()
+                        seg.unlink()
+                    """
+            },
+        )
+        assert rules_of(report).count("RL006") == 3
+        messages = " ".join(f.message for f in report.findings)
+        assert "fixed-literal" in messages
+        assert "uuid" in messages
+
+
+# --------------------------------------------------------------------------- #
 # RL007 fork safety
 # --------------------------------------------------------------------------- #
 class TestRL007ForkSafety:
@@ -822,6 +1028,77 @@ class TestRL007ForkSafety:
             },
         )
         assert report.findings == []
+
+
+# --------------------------------------------------------------------------- #
+# RL008 disjoint writes
+# --------------------------------------------------------------------------- #
+_RL008_MODULE = """
+    import numpy as np
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import shared_memory
+
+    def worker(
+        name: str,
+        shape: tuple[int, ...],
+        blocks: tuple[tuple[int, int], ...],
+    ) -> None:
+        seg = shared_memory.SharedMemory(name=name)
+        try:
+            scores = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
+            {write}
+            del scores
+        finally:
+            seg.close()
+
+    def run(
+        name: str,
+        shape: tuple[int, ...],
+        runs: list[tuple[tuple[int, int], ...]],
+    ) -> None:
+        pool = ProcessPoolExecutor(max_workers=2)
+        try:
+            for future in [pool.submit(worker, name, shape, r) for r in runs]:
+                future.result()
+        finally:
+            pool.shutdown()
+"""
+
+
+class TestRL008DisjointWrites:
+    def _lint_with_write(self, tmp_path, write: str):
+        return lint(tmp_path, {"src/pkg/pool.py": _RL008_MODULE.format(write=write)})
+
+    def test_block_range_slice_clean(self, tmp_path):
+        report = self._lint_with_write(
+            tmp_path,
+            "for start, stop in blocks:\n                scores[start:stop] = 1.0",
+        )
+        assert report.findings == []
+
+    def test_mutation_whole_array_store_fires(self, tmp_path):
+        """The ISSUE's mutation check: a whole-array store must be a finding."""
+        report = self._lint_with_write(tmp_path, "scores[:] = 1.0")
+        assert rules_of(report) == ["RL008"]
+
+    def test_element_store_fires(self, tmp_path):
+        report = self._lint_with_write(tmp_path, "scores[0] = 1.0")
+        assert rules_of(report) == ["RL008"]
+
+    def test_computed_slice_fires(self, tmp_path):
+        report = self._lint_with_write(
+            tmp_path,
+            "for start, stop in blocks:\n                scores[start : stop + 1] = 1.0",
+        )
+        assert rules_of(report) == ["RL008"]
+
+    def test_view_from_container_tracked(self, tmp_path):
+        report = self._lint_with_write(
+            tmp_path,
+            "views = {}\n            views['scores'] = scores\n"
+            "            out = views['scores']\n            out[:] = 1.0",
+        )
+        assert "RL008" in rules_of(report)
 
 
 # --------------------------------------------------------------------------- #

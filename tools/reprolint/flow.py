@@ -15,7 +15,7 @@ engine, in three layers:
   merge points.
 * **A resource-state lattice** — :class:`ResourceTransfer` tracks, per
   local variable, the acquisition sites it may hold and whether each is
-  released (``close``/``shutdown``), escaped (returned, yielded,
+  released (``close``/``unlink``/``shutdown``), escaped (returned, yielded,
   stored into a container/attribute, or passed to an unknown callee) or
   still open.  :func:`analyse_resources` reports every site that can reach
   the function's normal or exceptional exit unreleased.
@@ -32,18 +32,24 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .project import FunctionInfo, ProjectIndex, dotted_call_name
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    pass
 
 # --------------------------------------------------------------------------- #
 # resource kinds
 # --------------------------------------------------------------------------- #
 
+SHM_CREATE = "shm_create"
+SHM_ATTACH = "shm_attach"
 POOL = "pool"
 FILE = "file"
 
 #: Fully-qualified constructors that acquire a resource of each kind.
+SHM_CONSTRUCTORS = frozenset({"multiprocessing.shared_memory.SharedMemory"})
 POOL_CONSTRUCTORS = frozenset(
     {
         "concurrent.futures.ProcessPoolExecutor",
@@ -65,9 +71,14 @@ FILE_CONSTRUCTORS = frozenset(
     }
 )
 
-#: Method calls that release a tracked resource: ``shutdown`` a pool,
-#: ``close`` a file.
-RELEASE_METHODS = frozenset({"close", "shutdown"})
+#: Method calls that release (part of) a tracked resource.  ``shutdown``
+#: fully releases a pool; a created shm segment needs *both* ``close`` and
+#: ``unlink``.
+RELEASE_EFFECTS: dict[str, tuple[str, ...]] = {
+    "close": ("closed",),
+    "unlink": ("unlinked",),
+    "shutdown": ("closed", "unlinked"),
+}
 
 #: Calls that cannot meaningfully raise for lifecycle purposes: without this
 #: set, the canonical ``finally: handle.close()`` pattern would itself spawn
@@ -77,7 +88,7 @@ _SAFE_BUILTIN_CALLS = frozenset(
 )
 _SAFE_METHOD_CALLS = frozenset(
     {"append", "add", "items", "keys", "values", "get", "extend", "update"}
-) | RELEASE_METHODS
+) | frozenset(RELEASE_EFFECTS)
 
 
 @dataclass(frozen=True)
@@ -96,12 +107,18 @@ class Status:
 
     site: ResourceSite
     closed: bool = False
+    unlinked: bool = False
     escaped: bool = False
 
     @property
     def satisfied(self) -> bool:
         """Whether this state is terminal-safe at a function exit."""
-        return self.closed or self.escaped
+        if self.escaped:
+            return True
+        if self.site.kind == SHM_CREATE:
+            return self.closed and self.unlinked
+        # attach-side shm, pools and files only need close()/shutdown().
+        return self.closed
 
 
 #: A dataflow environment: local name -> set of possible statuses.  A name
@@ -472,8 +489,8 @@ class FunctionSummary:
     acquires_kind: str | None = None
     #: Positional parameter names, for mapping call arguments.
     param_names: tuple[str, ...] = ()
-    #: Parameter names whose argument the helper releases.
-    param_release: frozenset[str] = frozenset()
+    #: Parameter name -> release bits the helper applies to that argument.
+    param_release: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 def _classify_external(call: ast.Call, aliases: dict[str, str]) -> str | None:
@@ -481,6 +498,16 @@ def _classify_external(call: ast.Call, aliases: dict[str, str]) -> str | None:
     dotted = dotted_call_name(call.func, aliases)
     if dotted is None:
         return None
+    if dotted in SHM_CONSTRUCTORS:
+        create = False
+        if len(call.args) >= 2:
+            arg = call.args[1]
+            create = isinstance(arg, ast.Constant) and bool(arg.value)
+        for keyword in call.keywords:
+            if keyword.arg == "create":
+                value = keyword.value
+                create = isinstance(value, ast.Constant) and bool(value.value)
+        return SHM_CREATE if create else SHM_ATTACH
     if dotted in POOL_CONSTRUCTORS:
         return POOL
     if dotted in FILE_CONSTRUCTORS:
@@ -502,18 +529,20 @@ def function_summary(
     args = function.node.args
     param_names = tuple(a.arg for a in [*args.posonlyargs, *args.args])
 
-    param_release: set[str] = set()
+    param_release: dict[str, tuple[str, ...]] = {}
     for node in ast.walk(function.node):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         if (
             isinstance(func, ast.Attribute)
-            and func.attr in RELEASE_METHODS
+            and func.attr in RELEASE_EFFECTS
             and isinstance(func.value, ast.Name)
             and func.value.id in param_names
         ):
-            param_release.add(func.value.id)
+            existing = param_release.get(func.value.id, ())
+            merged = tuple(dict.fromkeys(existing + RELEASE_EFFECTS[func.attr]))
+            param_release[func.value.id] = merged
 
     # Does the helper hand back a live resource it still owns at the return?
     acquires: str | None = None
@@ -533,9 +562,7 @@ def function_summary(
                 if not status.escaped and not status.satisfied:
                     acquires = status.site.kind
     summary = FunctionSummary(
-        acquires_kind=acquires,
-        param_names=param_names,
-        param_release=frozenset(param_release),
+        acquires_kind=acquires, param_names=param_names, param_release=param_release
     )
     if _cache is not None:
         _cache[function.qualname] = summary
@@ -567,6 +594,8 @@ class ResourceTransfer:
         self.summaries = summaries
         self.aliases = _module_aliases(function, index)
         self._in_progress = _in_progress
+        #: ``unlink()`` calls observed on attach-side segments: (site, line, col).
+        self.attach_unlinks: set[tuple[ResourceSite, int, int]] = set()
 
     # -- classification -------------------------------------------------- #
     def classify(self, call: ast.Call) -> str | None:
@@ -596,10 +625,16 @@ class ResourceTransfer:
             env[name] = frozenset(replace(s, escaped=True) for s in states)
 
     @staticmethod
-    def _apply_release(env: Env, name: str) -> None:
+    def _apply_release(env: Env, name: str, bits: tuple[str, ...]) -> None:
         states = env.get(name)
-        if states:
-            env[name] = frozenset(replace(s, closed=True) for s in states)
+        if not states:
+            return
+        updated = set()
+        for status in states:
+            for bit in bits:
+                status = replace(status, **{bit: True})
+            updated.add(status)
+        env[name] = frozenset(updated)
 
     # -- call effects ------------------------------------------------------ #
     def _process_calls(self, expr: ast.expr, env: Env) -> None:
@@ -615,11 +650,18 @@ class ResourceTransfer:
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr in RELEASE_METHODS
+                and func.attr in RELEASE_EFFECTS
                 and isinstance(func.value, ast.Name)
                 and func.value.id in env
             ):
-                self._apply_release(env, func.value.id)
+                name = func.value.id
+                if func.attr == "unlink":
+                    for status in env[name]:
+                        if status.site.kind == SHM_ATTACH and not status.escaped:
+                            self.attach_unlinks.add(
+                                (status.site, node.lineno, node.col_offset)
+                            )
+                self._apply_release(env, name, RELEASE_EFFECTS[func.attr])
             summary = self._callee_summary(node)
             if summary is not None and summary.param_release:
                 for position, arg in enumerate(node.args):
@@ -627,14 +669,16 @@ class ResourceTransfer:
                         break
                     param = summary.param_names[position]
                     if param in summary.param_release and isinstance(arg, ast.Name):
-                        self._apply_release(env, arg.id)
+                        self._apply_release(env, arg.id, summary.param_release[param])
                         handled_args.add(arg.id)
                 for keyword in node.keywords:
                     if (
                         keyword.arg in summary.param_release
                         and isinstance(keyword.value, ast.Name)
                     ):
-                        self._apply_release(env, keyword.value.id)
+                        self._apply_release(
+                            env, keyword.value.id, summary.param_release[keyword.arg]
+                        )
                         handled_args.add(keyword.value.id)
             # Any other tracked name handed to a call escapes our reasoning.
             for arg in [*node.args, *[k.value for k in node.keywords]]:
@@ -699,7 +743,7 @@ class ResourceTransfer:
                     line=item.context_expr.lineno,
                     col=item.context_expr.col_offset,
                 )
-                env[var.id] = frozenset({Status(site=site, closed=True)})
+                env[var.id] = frozenset({Status(site=site, closed=True, unlinked=True)})
             else:
                 env.pop(var.id, None)
 
@@ -758,6 +802,7 @@ class ResourceAnalysis:
     cfg: ControlFlowGraph
     in_envs: dict[int, Env]
     leaks: list[ResourceLeak]
+    attach_unlinks: list[tuple[ResourceSite, int, int]]
 
 
 def analyse_resources(
@@ -789,4 +834,5 @@ def analyse_resources(
         cfg=cfg,
         in_envs=in_envs,
         leaks=leaks,
+        attach_unlinks=sorted(transfer.attach_unlinks, key=lambda e: (e[1], e[2])),
     )

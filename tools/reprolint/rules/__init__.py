@@ -95,7 +95,9 @@ from . import rl002_picklability  # noqa: E402,F401
 from . import rl003_registry_discipline  # noqa: E402,F401
 from . import rl004_shard_safety  # noqa: E402,F401
 from . import rl005_public_surface  # noqa: E402,F401
+from . import rl006_shm_lifecycle  # noqa: E402,F401
 from . import rl007_fork_safety  # noqa: E402,F401
+from . import rl008_disjoint_writes  # noqa: E402,F401
 from . import rl009_exception_safety  # noqa: E402,F401
 
 __all__ = [

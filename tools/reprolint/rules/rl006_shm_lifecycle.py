@@ -1,8 +1,10 @@
 """RL006 — shared-memory segment lifecycle (the first flow-engine rule).
 
-The scoring core publishes packed arrays as ``multiprocessing.shared_memory``
-segments; a leaked segment is ``/dev/shm`` residue that outlives the process
-and (at fleet scale) exhausts the host.  Three invariants, checked with the
+Code that shares arrays between processes through
+``multiprocessing.shared_memory`` segments must release them: a leaked
+segment is ``/dev/shm`` residue that outlives the process and (at fleet
+scale) exhausts the host.  Nothing in ``src/`` uses shared memory today; the
+rule keeps any new user honest.  Three invariants, checked with the
 CFG/dataflow engine in :mod:`tools.reprolint.flow`:
 
 * a segment created with ``create=True`` must reach **both** ``close()`` and

@@ -1,9 +1,11 @@
 """RL008 — disjoint-write discipline inside fork-pool workers.
 
-The parallel scoring pass is race-free by *partition*, not by locks: every
-worker attaches the same shared ``scores`` buffer and writes only the row
-ranges ``[start, stop)`` it was handed in its block list.  The invariant is
-purely conventional — shared memory has no bounds — so this rule makes it
+A parallel pass over a shared-memory buffer is race-free by *partition*,
+not by locks: every worker attaches the same shared output buffer and writes
+only the row ranges ``[start, stop)`` it was handed in its block list.
+Nothing in ``src/`` runs such a pass today; the rule keeps any new one
+honest.  The invariant is purely conventional — shared memory has no
+bounds — so this rule makes it
 static: inside a function submitted to a pool, a store into a
 shared-memory-backed array is legal **only** through a plain
 ``buf[start:stop] = ...`` slice whose bounds are names bound by iterating a

@@ -1,17 +1,18 @@
 """RL009 — exception-safe release of pools and file handles.
 
-Runs the flow engine (:mod:`tools.reprolint.flow`): a
+The flow-engine sibling of RL006 for the remaining resource kinds: a
 ``ProcessPoolExecutor``/``ThreadPoolExecutor``/``multiprocessing.Pool``
 acquired in a function must reach ``shutdown()`` (or be context-managed, or
 handed off to an owner) on every path out of it, and an ``open()``-style
 file handle must reach ``close()`` — *including* the exceptional paths,
 where an orphaned pool strands live worker processes behind a raised
-exception.
+exception.  Shared-memory segments are RL006's concern and are not
+re-reported here.
 
 Ownership transfer is not a leak: returning the live handle, storing it
-into a container/attribute (e.g. a module-level cache) or passing it to
-another function all mark it escaped — the dataflow lattice tracks that per
-variable, per path.
+into a container/attribute (e.g. a module-level executor cache) or
+passing it to another function all mark it escaped — the dataflow lattice
+tracks that per variable, per path.
 """
 
 from __future__ import annotations
@@ -19,23 +20,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import Rule, RuleContext, register_rule
-from ..flow import FILE, POOL, FunctionSummary, ResourceLeak, analyse_resources
-from .rl001_determinism import CHECKED_TOP_DIRS
+from ..flow import FILE, POOL, FunctionSummary, analyse_resources
+from .rl006_shm_lifecycle import CHECKED_TOP_DIRS, _leak_paths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding
 
 _RELEASE_BY_KIND = {POOL: "shutdown()", FILE: "close()"}
 _NOUN_BY_KIND = {POOL: "process/thread pool", FILE: "file handle"}
-
-
-def _leak_paths(leak: ResourceLeak) -> str:
-    paths = []
-    if leak.on_raise_exit:
-        paths.append("an exceptional path")
-    if leak.on_normal_exit:
-        paths.append("a normal path")
-    return " and ".join(paths)
 
 
 @register_rule
@@ -59,6 +51,8 @@ class ExceptionSafetyRule(Rule):
                 continue
             analysis = analyse_resources(function, index, summaries)
             for leak in analysis.leaks:
+                if leak.site.kind not in _RELEASE_BY_KIND:
+                    continue
                 yield Finding(
                     rule=self.id,
                     path=function.relative_path,

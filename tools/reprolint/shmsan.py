@@ -1,26 +1,26 @@
-"""shmsan — an opt-in runtime sanitizer for the shared-memory scoring core.
+"""shmsan — an opt-in runtime sanitizer for ``multiprocessing.shared_memory``.
 
-The static rules (RL006–RL009) prove lifecycle discipline over the *code*;
-this module checks the same invariants over an actual *run*.  With
-``REPRO_SHM_SAN=1`` in the environment, :func:`install` replaces
-:class:`multiprocessing.shared_memory.SharedMemory` with a recording
-subclass and registers an observer with :mod:`repro.core.scoring`:
+The static rules (RL006 and RL008) prove lifecycle and disjoint-write
+discipline over the *code*; this module checks the same invariants over an
+actual *run*.  With ``REPRO_SHM_SAN=1`` in the environment, :func:`install`
+replaces :class:`multiprocessing.shared_memory.SharedMemory` with a
+recording subclass:
 
 * every segment create / attach / ``close()`` / ``unlink()`` lands in a
   per-process :class:`ShmLedger` (fork-started workers get a fresh ledger —
   the ledger is keyed by pid, so an inherited parent ledger is discarded on
   first use in the child);
-* the scoring pass reports each worker's assigned row ranges via
-  ``record_writer_ranges``; any overlap between two workers' ranges for the
-  same segment is a violation the moment it is recorded;
-* at pool shutdown (and on explicit :func:`verify`) the ledger must
+* a parallel pass reports each worker's assigned row ranges via
+  :meth:`ShmLedger.note_writer_ranges`; any overlap between two workers'
+  ranges for the same segment is a violation the moment it is recorded;
+* on :func:`verify` the ledger must
   balance: every created segment closed and unlinked, every attach closed,
   no attach-side ``unlink()``, no overlapping writer ranges.  Imbalance
   raises :class:`ShmSanError`.
 
-The sanitizer is a debugging/CI tool, not a production feature: nothing in
-``src/repro`` imports it eagerly, and with the environment variable unset
-:func:`install` is a no-op.
+The sanitizer is a debugging tool, not a production feature: nothing in
+``src/repro`` imports it (the scoring core no longer uses shared memory),
+and with the environment variable unset :func:`install` is a no-op.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class ShmLedger:
     def note_writer_ranges(
         self, segment_name: str, runs: Sequence[tuple[tuple[int, int], ...]]
     ) -> None:
-        """Record one scoring pass's per-worker row ranges; flag overlaps."""
+        """Record one parallel pass's per-worker row ranges; flag overlaps."""
         flat = sorted(
             (int(start), int(stop)) for run in runs for start, stop in run
         )
@@ -179,21 +179,6 @@ class _SanitizedSharedMemory(_ORIGINAL_SHARED_MEMORY):
         super().unlink()
 
 
-class _ScoringObserverAdapter:
-    """The :mod:`repro.core.scoring` observer protocol, backed by the ledger."""
-
-    def record_writer_ranges(
-        self, segment_name: str, runs: Sequence[tuple[tuple[int, int], ...]]
-    ) -> None:
-        ledger().note_writer_ranges(segment_name, runs)
-
-    def pool_shutdown(self) -> None:
-        ledger().check()
-
-
-_OBSERVER = _ScoringObserverAdapter()
-
-
 def installed() -> bool:
     return bool(_STATE["installed"])
 
@@ -203,25 +188,22 @@ def install(*, force: bool = False) -> bool:
 
     Without ``force``, requires ``REPRO_SHM_SAN=1`` in the environment (so
     an accidental import can never slow production down).  Safe to call
-    repeatedly.  Must run *before* the scoring pool forks its workers, or
-    the children keep the unpatched class; :mod:`repro.core.scoring` calls
-    this (env-gated) right before creating its first executor.
+    repeatedly.  Must run *before* a pool forks its workers, or the
+    children keep the unpatched class.
     """
     if not force and os.environ.get(ENV_VAR) != "1":
         return False
     if not _STATE["installed"]:
         shared_memory.SharedMemory = _SanitizedSharedMemory  # type: ignore[misc]
         _STATE["installed"] = True
-    _set_scoring_observer(_OBSERVER)
     return True
 
 
 def uninstall() -> None:
-    """Disarm: restore the genuine class and detach the scoring observer."""
+    """Disarm: restore the genuine class."""
     if _STATE["installed"]:
         shared_memory.SharedMemory = _ORIGINAL_SHARED_MEMORY  # type: ignore[misc]
         _STATE["installed"] = False
-    _set_scoring_observer(None)
 
 
 def reset() -> None:
@@ -233,22 +215,15 @@ def verify(*, require_activity: bool = False) -> ShmLedger:
     """Assert the ledger balances; returns it for inspection.
 
     ``require_activity=True`` additionally fails when the sanitizer saw no
-    segment creation at all — the CI smoke uses it to prove the sanitizer
-    was actually armed, not silently skipped.
+    segment creation at all — proof that the sanitizer was actually armed,
+    not silently skipped.
     """
     current = ledger()
     if require_activity and current.creates_seen == 0:
         raise ShmSanError(
             "shmsan: no shared-memory activity was recorded; the sanitizer "
-            "was not armed before the scoring pass ran"
+            "was not armed before the pass ran"
         )
     current.check()
     return current
 
-
-def _set_scoring_observer(observer: Any) -> None:
-    try:
-        from repro.core import scoring
-    except ImportError:  # pragma: no cover - reprolint used standalone
-        return
-    scoring._install_scoring_observer(observer)
