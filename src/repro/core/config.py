@@ -11,6 +11,7 @@ every experiment in the repository.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -71,12 +72,14 @@ class MabConfig:
             raise ValueError("alpha_floor must be non-negative")
         if not 0 < self.alpha_decay <= 1:
             raise ValueError("alpha_decay must be in (0, 1]")
-        if self.max_index_width < 1:
-            raise ValueError("max_index_width must be at least 1")
-        if self.max_arms_per_query_table < 1:
-            raise ValueError("max_arms_per_query_table must be at least 1")
-        if self.qoi_window_rounds < 1:
-            raise ValueError("qoi_window_rounds must be at least 1")
+        for name in ("max_index_width", "max_arms_per_query_table", "qoi_window_rounds"):
+            value = getattr(self, name)
+            # ``nan < 1`` is False and bool is an int subclass, so check the
+            # type before the range.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not 0 <= self.forgetting_factor <= 1:
             raise ValueError("forgetting_factor must be in [0, 1]")
         if not 0 <= self.shift_detection_threshold <= 1:

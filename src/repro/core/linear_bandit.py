@@ -318,7 +318,7 @@ class C2UCB:
 
         Raises:
             ValueError: If the context width is wrong, the row counts differ,
-                or a reward is not finite.
+                or a context or reward is not finite.
         """
         contexts = self._validate_contexts(contexts)
         rewards = np.asarray(rewards, dtype=float).reshape(-1)
@@ -326,8 +326,11 @@ class C2UCB:
             raise ValueError(
                 f"got {len(contexts)} contexts but {len(rewards)} rewards"
             )
+        # One NaN/inf context or reward would poison V or b (and so theta)
+        # for good.
+        if not np.all(np.isfinite(contexts)):
+            raise ValueError("contexts must be finite")
         if not np.all(np.isfinite(rewards)):
-            # One NaN/inf reward would poison b (and so theta) for good.
             raise ValueError("rewards must be finite")
         if len(contexts) == 0:
             self.rounds_observed += 1

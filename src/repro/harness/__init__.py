@@ -3,11 +3,10 @@ table and figure of the paper's evaluation section.
 
 Public API note
 ---------------
-The harness is the *paper-reproduction* layer.  The supported public surface
-for driving tuners programmatically — sessions, the tuner registry, the
-simulation and competition drivers — is :mod:`repro.api`; the names below are
-re-exported from there (or implemented on top of it) so existing imports keep
-working.
+The harness is the *paper-reproduction* layer: experiment settings, workload
+factories, reports and table formatting, all built on :mod:`repro.api`.
+Sessions, the tuner registry and the simulation and competition drivers have
+one spelling each, in :mod:`repro.api`; the harness does not re-export them.
 
 Attributes resolve lazily (PEP 562): the harness depends on :mod:`repro.api`
 while the tuner implementations that register themselves with the API import
@@ -24,7 +23,6 @@ _EXPORTS = {
     "ExperimentSettings": ".experiments",
     "aggregate_rl_series": ".experiments",
     "build_workload_rounds": ".experiments",
-    "make_tuner": ".experiments",
     "random_experiment": ".experiments",
     "rl_comparison_experiment": ".experiments",
     "run_workload_experiment": ".experiments",
@@ -32,8 +30,6 @@ _EXPORTS = {
     "static_experiment": ".experiments",
     "table1_breakdown_experiment": ".experiments",
     "table2_database_size_experiment": ".experiments",
-    "Recommendation": "repro.interface",
-    "Tuner": "repro.interface",
     "FleetSummary": ".metrics",
     "MissingBaselineError": ".metrics",
     "RoundReport": ".metrics",
@@ -50,12 +46,6 @@ _EXPORTS = {
     "table1_breakdown": ".reporting",
     "table2_database_size": ".reporting",
     "totals_summary": ".reporting",
-    "SimulationOptions": "repro.api",
-    "SimulationTrace": "repro.api",
-    "TuningSession": "repro.api",
-    "execute_round": "repro.api",
-    "run_competition": "repro.api",
-    "run_simulation": "repro.api",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SimulationOptions, run_simulation
 from repro.core import MabConfig, MabTuner
-from repro.harness import SimulationOptions, run_simulation
 from repro.workloads import ShiftingWorkload, StaticWorkload, get_benchmark
 
 

@@ -76,14 +76,27 @@ class TestLearning:
         with pytest.raises(ValueError):
             bandit.update(np.zeros((2, 2)), np.zeros(3))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_reward_rejected_without_touching_state(self, bad):
+    @pytest.mark.parametrize(
+        "contexts,rewards",
+        [
+            pytest.param(np.eye(2), [0.5, float("nan")], id="nan"),
+            pytest.param(np.eye(2), [0.5, float("inf")], id="inf"),
+            pytest.param(np.eye(2), [0.5, float("-inf")], id="-inf"),
+            pytest.param([[float("nan"), 1.0]], [1.0], id="context-nan"),
+            pytest.param([[1.0, float("inf")]], [1.0], id="context-inf"),
+        ],
+    )
+    def test_non_finite_reward_rejected_without_touching_state(self, contexts, rewards):
         bandit = C2UCB(dimension=2)
         bandit.update(np.eye(2), np.array([1.0, -1.0]))
         theta = bandit.theta().copy()
+        scatter = bandit.scatter_matrix
+        response = bandit.response_vector
         with pytest.raises(ValueError, match="finite"):
-            bandit.update(np.eye(2), np.array([0.5, bad]))
+            bandit.update(np.array(contexts), np.array(rewards))
         assert np.array_equal(bandit.theta(), theta)
+        assert np.array_equal(bandit.scatter_matrix, scatter)
+        assert np.array_equal(bandit.response_vector, response)
         assert bandit.rounds_observed == 1
 
     def test_empty_update_counts_round(self):

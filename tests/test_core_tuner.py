@@ -31,6 +31,15 @@ class TestMabConfig:
         ("creation_cost_weight", float("nan")),
         ("creation_cost_weight", float("-inf")),
         ("max_arms_per_query_table", 0),
+        ("max_index_width", float("nan")),
+        ("max_index_width", 2.5),
+        ("max_index_width", True),
+        ("qoi_window_rounds", float("nan")),
+        ("qoi_window_rounds", 2.5),
+        ("qoi_window_rounds", True),
+        ("max_arms_per_query_table", float("nan")),
+        ("max_arms_per_query_table", 2.5),
+        ("max_arms_per_query_table", True),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):

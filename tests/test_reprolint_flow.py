@@ -1,7 +1,6 @@
-"""Tests for the reprolint flow engine (``tools.reprolint.flow``) and the
-runtime shared-memory sanitizer (``tools.reprolint.shmsan``).
+"""Tests for the reprolint flow engine (``tools.reprolint.flow``).
 
-Three layers:
+Two layers:
 
 * **CFG construction** — basic blocks and edges over straight-line code,
   branches, loops (including ``while True``), ``with``, ``try/finally``
@@ -9,27 +8,20 @@ Three layers:
 * **resource dataflow** — the acquired/released/escaped lattice: joins at
   merge points keep the leaky path visible, exception edges carry pre-call
   state, escapes transfer ownership, and one level of helper summaries
-  propagates acquisitions across calls;
-* **shmsan** — the ledger balances a clean create/close/unlink cycle and
-  trips on deliberate leaks, attach-side unlinks and overlapping writer
-  ranges.
+  propagates acquisitions across calls.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 import sys
 import textwrap
 from pathlib import Path
-
-import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:  # `tools` lives at the repo root, not in src/
     sys.path.insert(0, str(REPO_ROOT))
 
-from tools.reprolint import shmsan  # noqa: E402
 from tools.reprolint.flow import (  # noqa: E402
     FILE,
     POOL,
@@ -329,80 +321,3 @@ class TestResourceDataflow:
             leak.on_normal_exit and leak.site.kind == FILE
             for leak in leaky.leaks
         )
-
-
-# --------------------------------------------------------------------------- #
-# shmsan: the runtime sanitizer
-# --------------------------------------------------------------------------- #
-@pytest.fixture
-def armed_sanitizer():
-    shmsan.reset()
-    shmsan.install(force=True)
-    yield
-    shmsan.uninstall()
-    shmsan.reset()
-
-
-class TestShmSanLedger:
-    def test_install_requires_env_or_force(self, monkeypatch):
-        monkeypatch.delenv(shmsan.ENV_VAR, raising=False)
-        assert shmsan.install() is False
-        assert not shmsan.installed()
-
-    def test_balanced_cycle_verifies(self, armed_sanitizer):
-        from multiprocessing import shared_memory
-
-        name = f"reproscore_sanok_{os.getpid()}"
-        seg = shared_memory.SharedMemory(name=name, create=True, size=16)
-        seg.close()
-        seg.unlink()
-        ledger = shmsan.verify(require_activity=True)
-        assert ledger.creates_seen == 1
-        assert ledger.violations == []
-
-    def test_deliberate_leak_trips(self, armed_sanitizer):
-        """Mutation check: a created segment that is never unlinked must fail."""
-        from multiprocessing import shared_memory
-
-        name = f"reproscore_sanleak_{os.getpid()}"
-        seg = shared_memory.SharedMemory(name=name, create=True, size=16)
-        seg.close()
-        try:
-            with pytest.raises(shmsan.ShmSanError, match="never unlinked"):
-                shmsan.verify()
-        finally:
-            residue = shmsan._ORIGINAL_SHARED_MEMORY(name=name)
-            residue.unlink()
-            residue.close()
-
-    def test_never_closed_segment_trips(self, armed_sanitizer):
-        shmsan.ledger().record_open("ghost", created=True, size=8)
-        shmsan.ledger().record_unlink("ghost")
-        with pytest.raises(shmsan.ShmSanError, match="never closed"):
-            shmsan.verify()
-
-    def test_attach_side_unlink_is_a_violation(self, armed_sanitizer):
-        ledger = shmsan.ledger()
-        ledger.record_open("seg", created=False, size=8)
-        ledger.record_close("seg")
-        ledger.record_unlink("seg")
-        with pytest.raises(shmsan.ShmSanError, match="attach-side unlink"):
-            shmsan.verify()
-
-    def test_overlapping_writer_ranges_trip(self, armed_sanitizer):
-        shmsan.ledger().note_writer_ranges("scores", [((0, 5),), ((4, 8),)])
-        with pytest.raises(shmsan.ShmSanError, match="overlapping writer"):
-            shmsan.verify()
-
-    def test_disjoint_writer_ranges_pass(self, armed_sanitizer):
-        shmsan.ledger().note_writer_ranges("scores", [((0, 5), (5, 8)), ((8, 12),)])
-        shmsan.verify()
-
-    def test_require_activity_rejects_idle_ledger(self, armed_sanitizer):
-        with pytest.raises(shmsan.ShmSanError, match="no shared-memory activity"):
-            shmsan.verify(require_activity=True)
-
-    def test_reset_clears_ledger(self, armed_sanitizer):
-        shmsan.ledger().record_open("seg", created=True, size=8)
-        shmsan.reset()
-        assert shmsan.ledger().records == {}

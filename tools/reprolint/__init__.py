@@ -23,23 +23,16 @@ RL004     read-only scoring: nothing reachable from the scoring kernels,
           the fleet's batched pass or the frozen scorer assigns to the live
           bandit's mutable state
 RL005     public-surface hygiene: examples import the documented surface,
-          deprecated import paths are flagged, ``repro.api`` ``__all__``
-          stays in sync with the definitions
-RL006     shared-memory lifecycle: created segments reach ``close()`` +
-          ``unlink()`` on every path (raise paths included), attach-side
-          code closes but never unlinks, names follow the counter scheme
+          ``repro.api`` ``__all__`` stays in sync with the definitions
 RL007     fork safety: pool workers are module-level, mutate no module
           globals, reach no clock/ambient-RNG reads, and no threading
           primitive is constructed before the pool in the same module
-RL008     disjoint writes: workers store into shared buffers only via
-          ``buf[start:stop]`` slices bound by the passed block ranges
 RL009     exception-safe release: executor pools and file handles are
           shut down / closed on every path out of the function
 ========  ==================================================================
 
-RL006 and RL009 run on an intraprocedural CFG/dataflow engine
-(:mod:`tools.reprolint.flow`); :mod:`tools.reprolint.shmsan` checks the
-same shared-memory invariants at runtime when ``REPRO_SHM_SAN=1``.
+RL009 runs on an intraprocedural CFG/dataflow engine
+(:mod:`tools.reprolint.flow`).
 
 Suppress a single finding inline with a *reasoned* comment::
 

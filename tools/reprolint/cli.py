@@ -20,9 +20,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.reprolint",
         description=(
             "Repo-native static analysis: determinism, picklability, registry "
-            "discipline, read-only scoring, public-surface hygiene, shared-memory "
-            "lifecycle, fork safety, disjoint writes, exception-safe resource "
-            "release."
+            "discipline, read-only scoring, public-surface hygiene, fork safety, "
+            "exception-safe resource release."
         ),
     )
     parser.add_argument(

@@ -15,7 +15,7 @@ engine, in three layers:
   merge points.
 * **A resource-state lattice** — :class:`ResourceTransfer` tracks, per
   local variable, the acquisition sites it may hold and whether each is
-  released (``close``/``unlink``/``shutdown``), escaped (returned, yielded,
+  released (``close``/``shutdown``), escaped (returned, yielded,
   stored into a container/attribute, or passed to an unknown callee) or
   still open.  :func:`analyse_resources` reports every site that can reach
   the function's normal or exceptional exit unreleased.
@@ -32,24 +32,18 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .project import FunctionInfo, ProjectIndex, dotted_call_name
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 # --------------------------------------------------------------------------- #
 # resource kinds
 # --------------------------------------------------------------------------- #
 
-SHM_CREATE = "shm_create"
-SHM_ATTACH = "shm_attach"
 POOL = "pool"
 FILE = "file"
 
 #: Fully-qualified constructors that acquire a resource of each kind.
-SHM_CONSTRUCTORS = frozenset({"multiprocessing.shared_memory.SharedMemory"})
 POOL_CONSTRUCTORS = frozenset(
     {
         "concurrent.futures.ProcessPoolExecutor",
@@ -71,14 +65,9 @@ FILE_CONSTRUCTORS = frozenset(
     }
 )
 
-#: Method calls that release (part of) a tracked resource.  ``shutdown``
-#: fully releases a pool; a created shm segment needs *both* ``close`` and
-#: ``unlink``.
-RELEASE_EFFECTS: dict[str, tuple[str, ...]] = {
-    "close": ("closed",),
-    "unlink": ("unlinked",),
-    "shutdown": ("closed", "unlinked"),
-}
+#: Method calls that release a tracked resource: ``close`` a file,
+#: ``shutdown`` a pool.
+RELEASE_METHODS = frozenset({"close", "shutdown"})
 
 #: Calls that cannot meaningfully raise for lifecycle purposes: without this
 #: set, the canonical ``finally: handle.close()`` pattern would itself spawn
@@ -88,7 +77,7 @@ _SAFE_BUILTIN_CALLS = frozenset(
 )
 _SAFE_METHOD_CALLS = frozenset(
     {"append", "add", "items", "keys", "values", "get", "extend", "update"}
-) | frozenset(RELEASE_EFFECTS)
+) | RELEASE_METHODS
 
 
 @dataclass(frozen=True)
@@ -107,18 +96,12 @@ class Status:
 
     site: ResourceSite
     closed: bool = False
-    unlinked: bool = False
     escaped: bool = False
 
     @property
     def satisfied(self) -> bool:
         """Whether this state is terminal-safe at a function exit."""
-        if self.escaped:
-            return True
-        if self.site.kind == SHM_CREATE:
-            return self.closed and self.unlinked
-        # attach-side shm, pools and files only need close()/shutdown().
-        return self.closed
+        return self.closed or self.escaped
 
 
 #: A dataflow environment: local name -> set of possible statuses.  A name
@@ -489,8 +472,8 @@ class FunctionSummary:
     acquires_kind: str | None = None
     #: Positional parameter names, for mapping call arguments.
     param_names: tuple[str, ...] = ()
-    #: Parameter name -> release bits the helper applies to that argument.
-    param_release: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: Parameter names whose argument the helper releases.
+    param_release: frozenset[str] = frozenset()
 
 
 def _classify_external(call: ast.Call, aliases: dict[str, str]) -> str | None:
@@ -498,16 +481,6 @@ def _classify_external(call: ast.Call, aliases: dict[str, str]) -> str | None:
     dotted = dotted_call_name(call.func, aliases)
     if dotted is None:
         return None
-    if dotted in SHM_CONSTRUCTORS:
-        create = False
-        if len(call.args) >= 2:
-            arg = call.args[1]
-            create = isinstance(arg, ast.Constant) and bool(arg.value)
-        for keyword in call.keywords:
-            if keyword.arg == "create":
-                value = keyword.value
-                create = isinstance(value, ast.Constant) and bool(value.value)
-        return SHM_CREATE if create else SHM_ATTACH
     if dotted in POOL_CONSTRUCTORS:
         return POOL
     if dotted in FILE_CONSTRUCTORS:
@@ -529,20 +502,15 @@ def function_summary(
     args = function.node.args
     param_names = tuple(a.arg for a in [*args.posonlyargs, *args.args])
 
-    param_release: dict[str, tuple[str, ...]] = {}
-    for node in ast.walk(function.node):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in RELEASE_EFFECTS
-            and isinstance(func.value, ast.Name)
-            and func.value.id in param_names
-        ):
-            existing = param_release.get(func.value.id, ())
-            merged = tuple(dict.fromkeys(existing + RELEASE_EFFECTS[func.attr]))
-            param_release[func.value.id] = merged
+    param_release = frozenset(
+        node.func.value.id
+        for node in ast.walk(function.node)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in RELEASE_METHODS
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in param_names
+    )
 
     # Does the helper hand back a live resource it still owns at the return?
     acquires: str | None = None
@@ -594,8 +562,6 @@ class ResourceTransfer:
         self.summaries = summaries
         self.aliases = _module_aliases(function, index)
         self._in_progress = _in_progress
-        #: ``unlink()`` calls observed on attach-side segments: (site, line, col).
-        self.attach_unlinks: set[tuple[ResourceSite, int, int]] = set()
 
     # -- classification -------------------------------------------------- #
     def classify(self, call: ast.Call) -> str | None:
@@ -625,16 +591,10 @@ class ResourceTransfer:
             env[name] = frozenset(replace(s, escaped=True) for s in states)
 
     @staticmethod
-    def _apply_release(env: Env, name: str, bits: tuple[str, ...]) -> None:
+    def _release(env: Env, name: str) -> None:
         states = env.get(name)
-        if not states:
-            return
-        updated = set()
-        for status in states:
-            for bit in bits:
-                status = replace(status, **{bit: True})
-            updated.add(status)
-        env[name] = frozenset(updated)
+        if states:
+            env[name] = frozenset(replace(s, closed=True) for s in states)
 
     # -- call effects ------------------------------------------------------ #
     def _process_calls(self, expr: ast.expr, env: Env) -> None:
@@ -650,18 +610,11 @@ class ResourceTransfer:
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr in RELEASE_EFFECTS
+                and func.attr in RELEASE_METHODS
                 and isinstance(func.value, ast.Name)
                 and func.value.id in env
             ):
-                name = func.value.id
-                if func.attr == "unlink":
-                    for status in env[name]:
-                        if status.site.kind == SHM_ATTACH and not status.escaped:
-                            self.attach_unlinks.add(
-                                (status.site, node.lineno, node.col_offset)
-                            )
-                self._apply_release(env, name, RELEASE_EFFECTS[func.attr])
+                self._release(env, func.value.id)
             summary = self._callee_summary(node)
             if summary is not None and summary.param_release:
                 for position, arg in enumerate(node.args):
@@ -669,16 +622,14 @@ class ResourceTransfer:
                         break
                     param = summary.param_names[position]
                     if param in summary.param_release and isinstance(arg, ast.Name):
-                        self._apply_release(env, arg.id, summary.param_release[param])
+                        self._release(env, arg.id)
                         handled_args.add(arg.id)
                 for keyword in node.keywords:
                     if (
                         keyword.arg in summary.param_release
                         and isinstance(keyword.value, ast.Name)
                     ):
-                        self._apply_release(
-                            env, keyword.value.id, summary.param_release[keyword.arg]
-                        )
+                        self._release(env, keyword.value.id)
                         handled_args.add(keyword.value.id)
             # Any other tracked name handed to a call escapes our reasoning.
             for arg in [*node.args, *[k.value for k in node.keywords]]:
@@ -743,7 +694,7 @@ class ResourceTransfer:
                     line=item.context_expr.lineno,
                     col=item.context_expr.col_offset,
                 )
-                env[var.id] = frozenset({Status(site=site, closed=True, unlinked=True)})
+                env[var.id] = frozenset({Status(site=site, closed=True)})
             else:
                 env.pop(var.id, None)
 
@@ -802,7 +753,6 @@ class ResourceAnalysis:
     cfg: ControlFlowGraph
     in_envs: dict[int, Env]
     leaks: list[ResourceLeak]
-    attach_unlinks: list[tuple[ResourceSite, int, int]]
 
 
 def analyse_resources(
@@ -834,5 +784,4 @@ def analyse_resources(
         cfg=cfg,
         in_envs=in_envs,
         leaks=leaks,
-        attach_unlinks=sorted(transfer.attach_unlinks, key=lambda e: (e[1], e[2])),
     )

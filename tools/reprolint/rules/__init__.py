@@ -30,16 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class RuleContext:
-    """Everything a rule may consult: the files, the index, the root."""
+    """Everything a rule may consult: the files and the project index."""
 
     files: list["SourceFile"] = field(default_factory=list)
     index: "ProjectIndex | None" = None
-
-    def file_by_path(self, relative_path: str) -> "SourceFile | None":
-        for source_file in self.files:
-            if source_file.relative_path == relative_path:
-                return source_file
-        return None
 
 
 class Rule:
@@ -95,9 +89,7 @@ from . import rl002_picklability  # noqa: E402,F401
 from . import rl003_registry_discipline  # noqa: E402,F401
 from . import rl004_shard_safety  # noqa: E402,F401
 from . import rl005_public_surface  # noqa: E402,F401
-from . import rl006_shm_lifecycle  # noqa: E402,F401
 from . import rl007_fork_safety  # noqa: E402,F401
-from . import rl008_disjoint_writes  # noqa: E402,F401
 from . import rl009_exception_safety  # noqa: E402,F401
 
 __all__ = [

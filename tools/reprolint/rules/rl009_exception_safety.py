@@ -1,13 +1,12 @@
 """RL009 — exception-safe release of pools and file handles.
 
-The flow-engine sibling of RL006 for the remaining resource kinds: a
-``ProcessPoolExecutor``/``ThreadPoolExecutor``/``multiprocessing.Pool``
+A ``ProcessPoolExecutor``/``ThreadPoolExecutor``/``multiprocessing.Pool``
 acquired in a function must reach ``shutdown()`` (or be context-managed, or
 handed off to an owner) on every path out of it, and an ``open()``-style
 file handle must reach ``close()`` — *including* the exceptional paths,
 where an orphaned pool strands live worker processes behind a raised
-exception.  Shared-memory segments are RL006's concern and are not
-re-reported here.
+exception.  The paths come from the CFG/dataflow engine in
+:mod:`tools.reprolint.flow`.
 
 Ownership transfer is not a leak: returning the live handle, storing it
 into a container/attribute (e.g. a module-level executor cache) or
@@ -20,14 +19,24 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import Rule, RuleContext, register_rule
-from ..flow import FILE, POOL, FunctionSummary, analyse_resources
-from .rl006_shm_lifecycle import CHECKED_TOP_DIRS, _leak_paths
+from ..flow import FILE, POOL, FunctionSummary, ResourceLeak, analyse_resources
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding
 
+CHECKED_TOP_DIRS = ("src", "examples")
+
 _RELEASE_BY_KIND = {POOL: "shutdown()", FILE: "close()"}
 _NOUN_BY_KIND = {POOL: "process/thread pool", FILE: "file handle"}
+
+
+def _leak_paths(leak: ResourceLeak) -> str:
+    paths = []
+    if leak.on_raise_exit:
+        paths.append("an exceptional path")
+    if leak.on_normal_exit:
+        paths.append("a normal path")
+    return " and ".join(paths)
 
 
 @register_rule
@@ -51,8 +60,6 @@ class ExceptionSafetyRule(Rule):
                 continue
             analysis = analyse_resources(function, index, summaries)
             for leak in analysis.leaks:
-                if leak.site.kind not in _RELEASE_BY_KIND:
-                    continue
                 yield Finding(
                     rule=self.id,
                     path=function.relative_path,
