@@ -517,7 +517,7 @@ def function_summary(
     analysis = analyse_resources(
         function, index, summaries=None, _in_progress=_in_progress | {function.qualname}
     )
-    aliases = _module_aliases(function, index)
+    aliases = module_aliases(function, index)
     for block in analysis.cfg.blocks_for(ast.Return):
         stmt = block.stmt
         assert isinstance(stmt, ast.Return)
@@ -537,7 +537,7 @@ def function_summary(
     return summary
 
 
-def _module_aliases(function: FunctionInfo, index: ProjectIndex) -> dict[str, str]:
+def module_aliases(function: FunctionInfo, index: ProjectIndex) -> dict[str, str]:
     module = index.modules.get(function.module)
     return module.import_aliases if module is not None else {}
 
@@ -560,7 +560,7 @@ class ResourceTransfer:
         self.function = function
         self.index = index
         self.summaries = summaries
-        self.aliases = _module_aliases(function, index)
+        self.aliases = module_aliases(function, index)
         self._in_progress = _in_progress
 
     # -- classification -------------------------------------------------- #

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import Rule, RuleContext, register_rule
 from ..project import FunctionInfo, ProjectIndex, dotted_call_name, module_dotted_name
-from ..flow import POOL_CONSTRUCTORS
+from ..flow import POOL_CONSTRUCTORS, module_aliases
 from .rl001_determinism import (
     CHECKED_TOP_DIRS,
     NUMPY_SEEDABLE_CONSTRUCTORS,
@@ -107,11 +107,6 @@ def iter_own_nodes(node: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             stack.append(child)
-
-
-def module_aliases(function: FunctionInfo, index: ProjectIndex) -> dict[str, str]:
-    module = index.modules.get(function.module)
-    return module.import_aliases if module is not None else {}
 
 
 def _is_pool_constructor(

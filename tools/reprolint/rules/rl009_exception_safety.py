@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from . import Rule, RuleContext, register_rule
 from ..flow import FILE, POOL, FunctionSummary, ResourceLeak, analyse_resources
 
+from .rl001_determinism import CHECKED_TOP_DIRS
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model import Finding
-
-CHECKED_TOP_DIRS = ("src", "examples")
 
 _RELEASE_BY_KIND = {POOL: "shutdown()", FILE: "close()"}
 _NOUN_BY_KIND = {POOL: "process/thread pool", FILE: "file handle"}
